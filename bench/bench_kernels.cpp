@@ -1,6 +1,6 @@
 // Microbenchmarks of the six tile kernels (google-benchmark): the real
-// numeric kernels, across tile sizes, including the paper's b = 280 and
-// the production inner-blocked variants at b = 200, ib = 32.
+// numeric kernels at the production b = 200, ib = 32 and the paper's
+// b = 280.
 //
 // Every benchmark runs under a selectable GEMM backend (last Args entry:
 // 0 = packed cache-blocked core, 1 = retained naive loops), so the same
@@ -29,7 +29,6 @@
 
 #include "common/rng.hpp"
 #include "kernels/ib_kernels.hpp"
-#include "kernels/tile_kernels.hpp"
 #include "kernels/weights.hpp"
 #include "linalg/kernel_tuning.hpp"
 #include "linalg/micro_kernel.hpp"
@@ -146,8 +145,7 @@ class BackendGuard {
   ~BackendGuard() { set_gemm_backend(GemmBackend::Packed); }
 };
 
-// Args are {b, ib, naive}: ib == 0 runs the plain full-T kernel, ib > 0
-// the inner-blocked production variant.
+// Args are {b, ib, naive}.
 void report(benchmark::State& state, KernelType type) {
   const int b = static_cast<int>(state.range(0));
   state.counters["GFlop/s"] = benchmark::Counter(
@@ -163,17 +161,13 @@ void BM_Geqrt(benchmark::State& state) {
   const int ib = static_cast<int>(state.range(1));
   BackendGuard guard(state.range(2) != 0);
   Matrix a0 = random_tile(b, 1);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
   for (auto _ : state) {
     state.PauseTiming();
     Matrix a = a0;
     state.ResumeTiming();
-    if (ib > 0) {
-      geqrt_ib(a.view(), t.view(), ib, ws);
-    } else {
-      geqrt(a.view(), t.view(), ws);
-    }
+    geqrt_ib(a.view(), t.view(), ib, ws);
     benchmark::DoNotOptimize(a.storage().data());
   }
   report(state, KernelType::GEQRT);
@@ -184,20 +178,12 @@ void BM_Unmqr(benchmark::State& state) {
   const int ib = static_cast<int>(state.range(1));
   BackendGuard guard(state.range(2) != 0);
   Matrix v = random_tile(b, 2);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
-  if (ib > 0) {
-    geqrt_ib(v.view(), t.view(), ib, ws);
-  } else {
-    geqrt(v.view(), t.view(), ws);
-  }
+  geqrt_ib(v.view(), t.view(), ib, ws);
   Matrix c = random_tile(b, 3);
   for (auto _ : state) {
-    if (ib > 0) {
-      unmqr_ib(v.view(), t.view(), ib, Trans::Yes, c.view(), ws);
-    } else {
-      unmqr(v.view(), t.view(), Trans::Yes, c.view(), ws);
-    }
+    unmqr_ib(v.view(), t.view(), ib, Trans::Yes, c.view(), ws);
     benchmark::DoNotOptimize(c.storage().data());
   }
   report(state, KernelType::UNMQR);
@@ -209,17 +195,13 @@ void BM_Tsqrt(benchmark::State& state) {
   BackendGuard guard(state.range(2) != 0);
   Matrix a1_0 = random_tile(b, 4);
   Matrix a2_0 = random_tile(b, 5);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
   for (auto _ : state) {
     state.PauseTiming();
     Matrix a1 = a1_0, a2 = a2_0;
     state.ResumeTiming();
-    if (ib > 0) {
-      tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
-    } else {
-      tsqrt(a1.view(), a2.view(), t.view(), ws);
-    }
+    tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
     benchmark::DoNotOptimize(a2.storage().data());
   }
   report(state, KernelType::TSQRT);
@@ -230,20 +212,12 @@ void BM_Tsmqr(benchmark::State& state) {
   const int ib = static_cast<int>(state.range(1));
   BackendGuard guard(state.range(2) != 0);
   Matrix a1 = random_tile(b, 6), a2 = random_tile(b, 7);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
-  if (ib > 0) {
-    tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
-  } else {
-    tsqrt(a1.view(), a2.view(), t.view(), ws);
-  }
+  tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
   Matrix c1 = random_tile(b, 8), c2 = random_tile(b, 9);
   for (auto _ : state) {
-    if (ib > 0) {
-      tsmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
-    } else {
-      tsmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::Yes, ws);
-    }
+    tsmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
     benchmark::DoNotOptimize(c2.storage().data());
   }
   report(state, KernelType::TSMQR);
@@ -255,17 +229,13 @@ void BM_Ttqrt(benchmark::State& state) {
   BackendGuard guard(state.range(2) != 0);
   Matrix a1_0 = random_tile(b, 10);
   Matrix a2_0 = random_tile(b, 11);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
   for (auto _ : state) {
     state.PauseTiming();
     Matrix a1 = a1_0, a2 = a2_0;
     state.ResumeTiming();
-    if (ib > 0) {
-      ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
-    } else {
-      ttqrt(a1.view(), a2.view(), t.view(), ws);
-    }
+    ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
     benchmark::DoNotOptimize(a2.storage().data());
   }
   report(state, KernelType::TTQRT);
@@ -276,20 +246,12 @@ void BM_Ttmqr(benchmark::State& state) {
   const int ib = static_cast<int>(state.range(1));
   BackendGuard guard(state.range(2) != 0);
   Matrix a1 = random_tile(b, 12), a2 = random_tile(b, 13);
-  Matrix t(b, b);
+  Matrix t(ib, b);
   TileWorkspace ws(b);
-  if (ib > 0) {
-    ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
-  } else {
-    ttqrt(a1.view(), a2.view(), t.view(), ws);
-  }
+  ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
   Matrix c1 = random_tile(b, 14), c2 = random_tile(b, 15);
   for (auto _ : state) {
-    if (ib > 0) {
-      ttmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
-    } else {
-      ttmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::Yes, ws);
-    }
+    ttmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
     benchmark::DoNotOptimize(c2.storage().data());
   }
   report(state, KernelType::TTMQR);
@@ -297,17 +259,10 @@ void BM_Ttmqr(benchmark::State& state) {
 
 // Coverage: every reported (b, ib) point under both backends, so the
 // packed/naive speedup ratio — the load-insensitive quantity the CI gate
-// checks — is defined everywhere: the plain-kernel tile-size sweep, the
-// production ib configuration (b = 200, ib = 32), and the paper's b = 280
-// point both plain and ib-blocked.
+// checks — is defined everywhere: the production configuration (b = 200,
+// ib = 32) and the paper's b = 280.
 void configure(benchmark::internal::Benchmark* bench) {
-  bench->Args({64, 0, 0})
-      ->Args({64, 0, 1})
-      ->Args({128, 0, 0})
-      ->Args({128, 0, 1})
-      ->Args({280, 0, 0})
-      ->Args({280, 0, 1})
-      ->Args({200, 32, 0})
+  bench->Args({200, 32, 0})
       ->Args({200, 32, 1})
       ->Args({280, 32, 0})
       ->Args({280, 32, 1})

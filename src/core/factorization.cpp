@@ -7,25 +7,33 @@
 
 namespace hqr {
 
+namespace {
+
+int resolve_ib(int ib, int b) {
+  HQR_CHECK(ib >= 0 && ib <= b,
+            "inner block ib=" << ib << " out of [0, " << b << "]");
+  return ib == 0 ? default_ib(b) : ib;
+}
+
+}  // namespace
+
 QRFactors::QRFactors(TiledMatrix a, KernelList kernels, int ib)
     : a_(std::move(a)),
       kernels_(std::move(kernels)),
-      ib_(ib),
+      ib_(resolve_ib(ib, a_.b())),
       kmax_(std::min(a_.mt(), a_.nt())) {
-  HQR_CHECK(ib_ >= 0 && ib_ <= a_.b(),
-            "inner block ib=" << ib_ << " out of [0, " << a_.b() << "]");
   const std::size_t tiles = static_cast<std::size_t>(a_.mt()) * kmax_;
-  const std::size_t tile_elems = static_cast<std::size_t>(a_.b()) * a_.b();
-  tg_storage_.assign(tiles * tile_elems, 0.0);
-  tp_storage_.assign(tiles * tile_elems, 0.0);
+  const std::size_t t_elems = static_cast<std::size_t>(ib_) * a_.b();
+  tg_storage_.assign(tiles * t_elems, 0.0);
+  tp_storage_.assign(tiles * t_elems, 0.0);
 }
 
 MatrixView QRFactors::t_geqrt(int r, int k) {
   HQR_ASSERT(r >= 0 && r < mt() && k >= 0 && k < kmax_, "T index out of range");
-  const std::size_t te = static_cast<std::size_t>(b()) * b();
+  const std::size_t te = static_cast<std::size_t>(ib_) * b();
   return MatrixView(
-      tg_storage_.data() + (static_cast<std::size_t>(k) * mt() + r) * te, b(),
-      b(), b());
+      tg_storage_.data() + (static_cast<std::size_t>(k) * mt() + r) * te, ib_,
+      b(), ib_);
 }
 
 ConstMatrixView QRFactors::t_geqrt(int r, int k) const {
@@ -34,10 +42,10 @@ ConstMatrixView QRFactors::t_geqrt(int r, int k) const {
 
 MatrixView QRFactors::t_pencil(int i, int k) {
   HQR_ASSERT(i >= 0 && i < mt() && k >= 0 && k < kmax_, "T index out of range");
-  const std::size_t te = static_cast<std::size_t>(b()) * b();
+  const std::size_t te = static_cast<std::size_t>(ib_) * b();
   return MatrixView(
-      tp_storage_.data() + (static_cast<std::size_t>(k) * mt() + i) * te, b(),
-      b(), b());
+      tp_storage_.data() + (static_cast<std::size_t>(k) * mt() + i) * te, ib_,
+      b(), ib_);
 }
 
 ConstMatrixView QRFactors::t_pencil(int i, int k) const {
@@ -47,55 +55,29 @@ ConstMatrixView QRFactors::t_pencil(int i, int k) const {
 void execute_kernel(const KernelOp& op, QRFactors& f, TileWorkspace& ws) {
   TiledMatrix& a = f.a();
   const int ib = f.ib();
-  const bool blocked = ib >= 1 && ib < f.b();
   switch (op.type) {
     case KernelType::GEQRT:
-      if (blocked)
-        geqrt_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, ws);
-      else
-        geqrt(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ws);
+      geqrt_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, ws);
       break;
     case KernelType::UNMQR:
-      if (blocked)
-        unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib,
-                 Trans::Yes, a.tile(op.row, op.j), ws);
-      else
-        unmqr(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), Trans::Yes,
-              a.tile(op.row, op.j), ws);
+      unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, Trans::Yes,
+               a.tile(op.row, op.j), ws);
       break;
     case KernelType::TSQRT:
-      if (blocked)
-        tsqrt_ib(a.tile(op.piv, op.k), a.tile(op.row, op.k),
-                 f.t_pencil(op.row, op.k), ib, ws);
-      else
-        tsqrt(a.tile(op.piv, op.k), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), ws);
+      tsqrt_ib(a.tile(op.piv, op.k), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, ws);
       break;
     case KernelType::TSMQR:
-      if (blocked)
-        tsmqr_ib(a.tile(op.piv, op.j), a.tile(op.row, op.j),
-                 a.tile(op.row, op.k), f.t_pencil(op.row, op.k), ib,
-                 Trans::Yes, ws);
-      else
-        tsmqr(a.tile(op.piv, op.j), a.tile(op.row, op.j), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), Trans::Yes, ws);
+      tsmqr_ib(a.tile(op.piv, op.j), a.tile(op.row, op.j), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, Trans::Yes, ws);
       break;
     case KernelType::TTQRT:
-      if (blocked)
-        ttqrt_ib(a.tile(op.piv, op.k), a.tile(op.row, op.k),
-                 f.t_pencil(op.row, op.k), ib, ws);
-      else
-        ttqrt(a.tile(op.piv, op.k), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), ws);
+      ttqrt_ib(a.tile(op.piv, op.k), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, ws);
       break;
     case KernelType::TTMQR:
-      if (blocked)
-        ttmqr_ib(a.tile(op.piv, op.j), a.tile(op.row, op.j),
-                 a.tile(op.row, op.k), f.t_pencil(op.row, op.k), ib,
-                 Trans::Yes, ws);
-      else
-        ttmqr(a.tile(op.piv, op.j), a.tile(op.row, op.j), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), Trans::Yes, ws);
+      ttmqr_ib(a.tile(op.piv, op.j), a.tile(op.row, op.j), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, Trans::Yes, ws);
       break;
   }
 }
@@ -137,33 +119,18 @@ void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
                           TiledMatrix& c, TileWorkspace& ws) {
   const TiledMatrix& a = f.a();
   const int ib = f.ib();
-  const bool blocked = ib >= 1 && ib < f.b();
   switch (op.type) {
     case KernelType::UNMQR:
-      if (blocked)
-        unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, trans,
-                 c.tile(op.row, op.j), ws);
-      else
-        unmqr(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), trans,
-              c.tile(op.row, op.j), ws);
+      unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, trans,
+               c.tile(op.row, op.j), ws);
       break;
     case KernelType::TSMQR:
-      if (blocked)
-        tsmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j),
-                 a.tile(op.row, op.k), f.t_pencil(op.row, op.k), ib, trans,
-                 ws);
-      else
-        tsmqr(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), trans, ws);
+      tsmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, trans, ws);
       break;
     case KernelType::TTMQR:
-      if (blocked)
-        ttmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j),
-                 a.tile(op.row, op.k), f.t_pencil(op.row, op.k), ib, trans,
-                 ws);
-      else
-        ttmqr(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
-              f.t_pencil(op.row, op.k), trans, ws);
+      ttmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, trans, ws);
       break;
     default:
       HQR_CHECK(false, "not a Q-application kernel");

@@ -17,11 +17,11 @@ namespace hqr {
 // The complete output of a tile QR factorization.
 class QRFactors {
  public:
-  // ib = 0 (default) uses the plain full-T kernels; 1 <= ib < b uses the
-  // inner-blocked production kernels (kernels/ib_kernels.hpp).
+  // ib is the inner block of the kernels (kernels/ib_kernels.hpp), in
+  // [1, b]; 0 picks default_ib(b).
   QRFactors(TiledMatrix a, KernelList kernels, int ib = 0);
 
-  // Inner block size (0 = plain kernels).
+  // Inner block size the kernels run with (never 0).
   int ib() const { return ib_; }
 
   int mt() const { return a_.mt(); }
@@ -35,7 +35,7 @@ class QRFactors {
   const TiledMatrix& a() const { return a_; }
   TiledMatrix& a() { return a_; }
 
-  // T factor of GEQRT at (r, k) / of TSQRT-TTQRT killing (i, k).
+  // T factor (ib x b) of GEQRT at (r, k) / of TSQRT-TTQRT killing (i, k).
   MatrixView t_geqrt(int r, int k);
   ConstMatrixView t_geqrt(int r, int k) const;
   MatrixView t_pencil(int i, int k);
@@ -48,7 +48,7 @@ class QRFactors {
   KernelList kernels_;
   int ib_;
   int kmax_;
-  std::vector<double> tg_storage_;  // (mt x kmax) tiles of b x b
+  std::vector<double> tg_storage_;  // (mt x kmax) T factors of ib x b
   std::vector<double> tp_storage_;
 };
 
@@ -59,7 +59,7 @@ void execute_kernel(const KernelOp& op, QRFactors& f, TileWorkspace& ws);
 // Factors `a` (tiled with tile size b) using the given elimination list,
 // executing kernels sequentially in list order. The list is not re-validated
 // here (use trees/validate.hpp); an invalid list yields a wrong R, which the
-// residual checks catch. ib selects inner blocking (0 = plain kernels).
+// residual checks catch. ib is the inner block (0 = default_ib(b)).
 QRFactors qr_factorize_sequential(const Matrix& a, int b,
                                   const EliminationList& list, int ib = 0);
 

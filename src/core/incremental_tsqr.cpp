@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/ib_kernels.hpp"
+
 namespace hqr {
 
 namespace {
@@ -17,8 +19,9 @@ IncrementalTSQR::IncrementalTSQR(int n, int b)
     : n_(n),
       b_(b),
       nt_(checked_nt(n, b)),
+      ib_(default_ib(b)),
       r_tiles_(nt_ * b, n, b),
-      t_scratch_(b, b),
+      t_scratch_(ib_, b),
       ws_(b) {}
 
 void IncrementalTSQR::add_rows(const Matrix& block) {
@@ -34,11 +37,12 @@ void IncrementalTSQR::add_rows(const Matrix& block) {
   // column are well defined).
   for (int k = 0; k < nt_; ++k) {
     for (int i = 0; i < incoming.mt(); ++i) {
-      tsqrt(r_tiles_.tile(k, k), incoming.tile(i, k), t_scratch_.view(), ws_);
+      tsqrt_ib(r_tiles_.tile(k, k), incoming.tile(i, k), t_scratch_.view(),
+               ib_, ws_);
       for (int j = k + 1; j < nt_; ++j) {
-        tsmqr(r_tiles_.tile(k, j), incoming.tile(i, j),
-              ConstMatrixView(incoming.tile(i, k)),
-              ConstMatrixView(t_scratch_.view()), Trans::Yes, ws_);
+        tsmqr_ib(r_tiles_.tile(k, j), incoming.tile(i, j),
+                 ConstMatrixView(incoming.tile(i, k)),
+                 ConstMatrixView(t_scratch_.view()), ib_, Trans::Yes, ws_);
       }
     }
   }

@@ -37,6 +37,7 @@ class IncrementalTSQR {
   int n_;
   int b_;
   int nt_;
+  int ib_;  // inner block of the kernels: default_ib(b)
   long long rows_seen_ = 0;
   TiledMatrix r_tiles_;    // nt x nt tiles; upper triangle holds R
   Matrix t_scratch_;       // discarded T factor (R-only reduction)

@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "kernels/ib_kernels.hpp"
-#include "kernels/tile_kernels.hpp"
 #include "linalg/micro_kernel.hpp"
 #include "linalg/random_matrix.hpp"
 
@@ -35,57 +34,33 @@ double time_per_rep(double min_time, F&& body) {
   return elapsed / reps;
 }
 
-// Benchmark fixture: factored tile pair so the apply kernels run on
-// well-scaled compact-WY data (random V/T would blow the iterates up).
+// Benchmark fixture: a factored tile pair so the apply runs on well-scaled
+// compact-WY data (random V/T would blow the iterates up).
 struct TuneFixture {
   int b;
   int ib;
-  Matrix a_src, c1_src, c2_src;
-  Matrix v2, t, c1, c2, a, tg;
+  Matrix c1_src, c2_src;
+  Matrix v2, t, c1, c2;
 
   TuneFixture(int b_, int ib_)
-      : b(b_), ib(ib_), a_src(b_, b_), c1_src(b_, b_), c2_src(b_, b_),
-        v2(b_, b_), t(b_, b_), c1(b_, b_), c2(b_, b_), a(b_, b_),
-        tg(b_, b_) {
+      : b(b_), ib(ib_), c1_src(b_, b_), c2_src(b_, b_), v2(b_, b_),
+        t(ib_, b_), c1(b_, b_), c2(b_, b_) {
     Rng rng(42);
-    a_src = random_uniform(b, b, rng);
+    Matrix a = random_uniform(b, b, rng);
     c1_src = random_uniform(b, b, rng);
     c2_src = random_uniform(b, b, rng);
+    v2 = random_uniform(b, b, rng);
     TileWorkspace ws(b);
-    copy(a_src.view(), a.block(0, 0, b, b));
-    copy(c2_src.view(), v2.block(0, 0, b, b));
-    tsqrt(a.block(0, 0, b, b), v2.block(0, 0, b, b), t.block(0, 0, b, b),
-          ws);
+    tsqrt_ib(a.view(), v2.view(), t.view(), ib, ws);
   }
 
-  // One TSMQR apply (weight 12: the dominant DAG kernel) plus, when ib > 0,
-  // one TSMQR_ib — both paths ride the packed GEMM core.
+  // One TSMQR apply (weight 12: the dominant DAG kernel); returns its
+  // nominal flops.
   double apply_once(TileWorkspace& ws) {
-    copy(c1_src.view(), c1.block(0, 0, b, b));
-    copy(c2_src.view(), c2.block(0, 0, b, b));
-    tsmqr(c1.block(0, 0, b, b), c2.block(0, 0, b, b), v2.view(), t.view(),
-          Trans::Yes, ws);
-    double flops = 4.0 * b * b * static_cast<double>(b);
-    if (ib > 0) {
-      copy(c1_src.view(), c1.block(0, 0, b, b));
-      copy(c2_src.view(), c2.block(0, 0, b, b));
-      tsmqr_ib(c1.block(0, 0, b, b), c2.block(0, 0, b, b), v2.view(),
-               t.view(), ib, Trans::Yes, ws);
-      flops *= 2.0;
-    }
-    return flops;
-  }
-
-  // One full-T GEQRT + TSQRT factorization pair: the panel-width-sensitive
-  // paths.
-  double factor_once(TileWorkspace& ws) {
-    copy(a_src.view(), a.block(0, 0, b, b));
-    geqrt(a.block(0, 0, b, b), tg.block(0, 0, b, b), ws);
-    copy(a_src.view(), a.block(0, 0, b, b));
-    copy(c1_src.view(), c1.block(0, 0, b, b));
-    tsqrt(c1.block(0, 0, b, b), a.block(0, 0, b, b), tg.block(0, 0, b, b),
-          ws);
-    return (4.0 / 3.0 + 2.0) * b * b * static_cast<double>(b);
+    copy(c1_src.view(), c1.view());
+    copy(c2_src.view(), c2.view());
+    tsmqr_ib(c1.view(), c2.view(), v2.view(), t.view(), ib, Trans::Yes, ws);
+    return 4.0 * b * b * static_cast<double>(b);
   }
 };
 
@@ -93,9 +68,11 @@ struct TuneFixture {
 
 KernelTuning tune_kernels(const TuneOptions& opts) {
   HQR_CHECK(opts.b >= 8, "tune: tile size too small");
+  HQR_CHECK(opts.ib >= 1 && opts.ib <= opts.b,
+            "tune: inner block ib=" << opts.ib << " out of [1, " << opts.b
+                                    << "]");
   const GemmBlocking saved_blocking = gemm_blocking();
   const MicroKernel& saved_kernel = active_micro_kernel();
-  const int saved_panel = householder_panel();
 
   TuneFixture fx(opts.b, opts.ib);
   TileWorkspace ws(opts.b);
@@ -133,32 +110,8 @@ KernelTuning tune_kernels(const TuneOptions& opts) {
     }
   }
 
-  // Panel width search with the winning kernel/blocking pinned.
-  set_active_micro_kernel(best.kernel);
-  set_gemm_blocking(best.blocking);
-  double best_factor_gfs = 0.0;
-  for (const int pw : {16, 24, 32, 48, 64}) {
-    if (pw > opts.b) continue;
-    set_householder_panel(pw);
-    double flops = 0.0;
-    const double spr = time_per_rep(opts.min_time, [&] {
-      flops = fx.factor_once(ws);
-    });
-    const double gfs = flops / spr * 1e-9;
-    if (opts.report) {
-      std::ostringstream desc;
-      desc << "householder_panel=" << pw;
-      opts.report(desc.str(), gfs);
-    }
-    if (gfs > best_factor_gfs) {
-      best_factor_gfs = gfs;
-      best.householder_panel = pw;
-    }
-  }
-
   set_gemm_blocking(saved_blocking);
   set_active_micro_kernel(saved_kernel);
-  set_householder_panel(saved_panel);
   best.cpu = tuning_cpu_id();
   return best;
 }

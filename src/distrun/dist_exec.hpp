@@ -86,7 +86,7 @@ struct DistOptions {
   int threads = 1;                  // workers per rank
   bool priority_scheduling = true;  // critical-path depth of the full DAG
   bool data_reuse = true;
-  int ib = 0;
+  int ib = 0;  // inner block of the kernels (0 = default_ib(b))
   SchedulerKind scheduler = SchedulerKind::Steal;
   // How a completed task's output reaches its consuming ranks. Binomial
   // (default) forwards through intermediate consumers so no producer's

@@ -127,22 +127,23 @@ void for_each_write(const KernelOp& op, int mt, Fn&& fn) {
 
 }  // namespace
 
-std::size_t task_output_bytes(const KernelOp& op, int b) {
+std::size_t task_output_bytes(const KernelOp& op, int b, int ib) {
   const std::size_t full = static_cast<std::size_t>(b) * b;
   const std::size_t upper = static_cast<std::size_t>(b) * (b + 1) / 2;
+  const std::size_t t = static_cast<std::size_t>(ib) * b;
   std::size_t doubles = 0;
   switch (op.type) {
     case KernelType::GEQRT:
-      doubles = full + full;  // A(row,k) + T
+      doubles = full + t;  // A(row,k) + T
       break;
     case KernelType::UNMQR:
       doubles = full;  // A(row,j)
       break;
     case KernelType::TSQRT:
-      doubles = upper + full + full;  // R1, V2 tile, T
+      doubles = upper + full + t;  // R1, V2 tile, T
       break;
     case KernelType::TTQRT:
-      doubles = upper + upper + full;  // R1, triangular V2, T
+      doubles = upper + upper + t;  // R1, triangular V2, T
       break;
     case KernelType::TSMQR:
     case KernelType::TTMQR:
@@ -189,7 +190,7 @@ void RegionGates::bump_writes(const KernelOp& op, std::int32_t task) {
 void apply_task_output(const KernelOp& op, QRFactors& f,
                        const std::vector<std::uint8_t>& payload,
                        RegionGates& gates, std::int32_t task) {
-  HQR_CHECK(payload.size() == task_output_bytes(op, f.b()),
+  HQR_CHECK(payload.size() == task_output_bytes(op, f.b(), f.ib()),
             "payload size mismatch for " << kernel_name(op.type) << ": got "
                                          << payload.size() << " bytes");
   net::PayloadReader r(payload);

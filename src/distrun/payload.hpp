@@ -22,7 +22,8 @@
 //   TTMQR (piv,row,j)  : full A(piv,j), full A(row,j)
 //
 // full = b*b doubles (column-major), upper = b*(b+1)/2 doubles (columns of
-// the triangle incl. diagonal), T = b*b doubles. The T factor piggybacks on
+// the triangle incl. diagonal), T = ib*b doubles (the factorization's ib x b
+// T layout, kernels/ib_kernels.hpp). The T factor piggybacks on
 // the A-region message because every consumer of a T has a direct RAW edge
 // from its producer, so it is guaranteed to be on board the frame that
 // releases the consumer.
@@ -76,8 +77,9 @@ class RegionGates {
   std::vector<std::atomic<std::int32_t>> v_;
 };
 
-// Byte size of the payload `op` produces (for frame validation).
-std::size_t task_output_bytes(const KernelOp& op, int b);
+// Byte size of the payload `op` produces at tile size b and inner block ib
+// (for frame validation).
+std::size_t task_output_bytes(const KernelOp& op, int b, int ib);
 
 // Appends the regions written by `op` (current contents of `f`) to `out`
 // in the canonical order above.

@@ -7,9 +7,14 @@
 namespace hqr {
 namespace {
 
-int check_panels(int b, int ib) {
+// Validates ib and the T buffer (b columns, at least ib rows); returns the
+// panel count.
+int check_panels(int b, int ib, ConstMatrixView t) {
   HQR_CHECK(ib >= 1 && ib <= b, "inner block ib=" << ib << " out of [1, "
                                                   << b << "]");
+  HQR_CHECK(t.rows >= ib && t.cols == b, "T is " << t.rows << " x " << t.cols
+                                                 << ", needs at least " << ib
+                                                 << " x " << b);
   return (b + ib - 1) / ib;
 }
 
@@ -17,9 +22,8 @@ int check_panels(int b, int ib) {
 
 void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
   const int b = ws.b();
-  HQR_CHECK(a.rows == b && a.cols == b && t.rows == b && t.cols == b,
-            "geqrt_ib expects b x b tiles");
-  check_panels(b, ib);
+  HQR_CHECK(a.rows == b && a.cols == b, "geqrt_ib expects b x b tiles");
+  check_panels(b, ib, t);
   MatrixView work = ws.vec();
 
   for (int j0 = 0; j0 < b; j0 += ib) {
@@ -53,9 +57,9 @@ void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
 void unmqr_ib(ConstMatrixView v, ConstMatrixView t, int ib, Trans trans,
               MatrixView c, TileWorkspace& ws) {
   const int b = ws.b();
-  HQR_CHECK(v.rows == b && v.cols == b && t.rows == b && c.rows == b,
+  HQR_CHECK(v.rows == b && v.cols == b && c.rows == b,
             "unmqr_ib expects b x b tiles");
-  const int panels = check_panels(b, ib);
+  const int panels = check_panels(b, ib, t);
   // Q = Q_p0 Q_p1 ... : Q^T applies panels forward, Q reversed.
   for (int pi = 0; pi < panels; ++pi) {
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
@@ -71,15 +75,14 @@ void unmqr_ib(ConstMatrixView v, ConstMatrixView t, int ib, Trans trans,
 void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
               TileWorkspace& ws) {
   const int b = ws.b();
-  HQR_CHECK(a1.rows == b && a2.rows == b && t.rows == b,
-            "tsqrt_ib expects b x b tiles");
-  check_panels(b, ib);
+  HQR_CHECK(a1.rows == b && a2.rows == b, "tsqrt_ib expects b x b tiles");
+  check_panels(b, ib, t);
 
   for (int j0 = 0; j0 < b; j0 += ib) {
     const int w = std::min(ib, b - j0);
     MatrixView tp = t.block(0, j0, w, w);
-    // Panel factorization (same recurrences as tsqrt, restricted to the
-    // panel columns).
+    // Panel factorization: one reflector per column, updates restricted to
+    // the panel columns.
     for (int l = 0; l < w; ++l) {
       const int j = j0 + l;
       double alpha = a1(j, j);
@@ -130,7 +133,7 @@ void tsmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
   const int b = ws.b();
   HQR_CHECK(c1.rows == b && c2.rows == b && v2.rows == b,
             "tsmqr_ib expects b x b tiles");
-  const int panels = check_panels(b, ib);
+  const int panels = check_panels(b, ib, t);
   for (int pi = 0; pi < panels; ++pi) {
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
     const int j0 = p * ib;
@@ -163,9 +166,8 @@ void load_tt_panel(ConstMatrixView v2, int j0, int w, MatrixView wp) {
 void ttqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
               TileWorkspace& ws) {
   const int b = ws.b();
-  HQR_CHECK(a1.rows == b && a2.rows == b && t.rows == b,
-            "ttqrt_ib expects b x b tiles");
-  check_panels(b, ib);
+  HQR_CHECK(a1.rows == b && a2.rows == b, "ttqrt_ib expects b x b tiles");
+  check_panels(b, ib, t);
 
   for (int j0 = 0; j0 < b; j0 += ib) {
     const int w = std::min(ib, b - j0);
@@ -219,7 +221,7 @@ void ttmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
   const int b = ws.b();
   HQR_CHECK(c1.rows == b && c2.rows == b && v2.rows == b,
             "ttmqr_ib expects b x b tiles");
-  const int panels = check_panels(b, ib);
+  const int panels = check_panels(b, ib, t);
   for (int pi = 0; pi < panels; ++pi) {
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
     const int j0 = p * ib;

@@ -17,7 +17,8 @@
 //   TTMQR(C1, C2, V2, T)  applies the TTQRT reflector to [C1; C2].
 //
 // Weights in b^3/3 flop units (paper §II): GEQRT 4, UNMQR 6, TSQRT 6,
-// TSMQR 12, TTQRT 2, TTMQR 6.
+// TSMQR 12, TTQRT 2, TTMQR 6. The kernels themselves (inner-blocked, with
+// an ib x b T per tile) live in kernels/ib_kernels.hpp.
 #pragma once
 
 #include "linalg/blas.hpp"
@@ -34,7 +35,7 @@ class TileWorkspace {
   explicit TileWorkspace(int b) : b_(b), w1_(b, b), w2_(b, b), vec_(b, 1) {
     HQR_CHECK(b >= 1, "tile size must be >= 1");
     // First workspace in the process pulls in the per-host tuning cache
-    // (kernel shape, blocking, panel width) before sizing pack buffers.
+    // (kernel shape, blocking) before sizing pack buffers.
     ensure_tuning_applied();
     gemm_.reserve(b, b, b);
   }
@@ -50,34 +51,5 @@ class TileWorkspace {
   Matrix w1_, w2_, vec_;
   GemmWorkspace gemm_;
 };
-
-// A <- QR of the b x b tile. R overwrites the upper triangle (incl. diag);
-// Householder vectors overwrite the strict lower triangle (unit diagonal
-// implicit). T (b x b) receives the upper-triangular block-reflector factor.
-void geqrt(MatrixView a, MatrixView t, TileWorkspace& ws);
-
-// C <- op(Q) * C where Q = I - V T V^T from geqrt; V is the factored tile
-// (only its strict lower triangle is read). trans == Trans::Yes applies Q^T
-// (the factorization update); Trans::No applies Q (used when building Q).
-void unmqr(ConstMatrixView v, ConstMatrixView t, Trans trans, MatrixView c,
-           TileWorkspace& ws);
-
-// Factors the 2b x b pencil [triangle(A1); A2]. On exit the upper triangle
-// of A1 holds the new R, A2 holds the dense reflector block V2, T is built.
-void tsqrt(MatrixView a1, MatrixView a2, MatrixView t, TileWorkspace& ws);
-
-// Applies the TSQRT reflector to [C1; C2] (both full tiles).
-void tsmqr(MatrixView c1, MatrixView c2, ConstMatrixView v2, ConstMatrixView t,
-           Trans trans, TileWorkspace& ws);
-
-// Factors the 2b x b pencil [triangle(A1); triangle(A2)]. On exit the upper
-// triangle of A1 holds the new R, the upper triangle of A2 holds V2
-// (triangular, stored diagonal), T is built.
-void ttqrt(MatrixView a1, MatrixView a2, MatrixView t, TileWorkspace& ws);
-
-// Applies the TTQRT reflector to [C1; C2] (both full tiles); only the upper
-// triangle of v2 is read.
-void ttmqr(MatrixView c1, MatrixView c2, ConstMatrixView v2, ConstMatrixView t,
-           Trans trans, TileWorkspace& ws);
 
 }  // namespace hqr

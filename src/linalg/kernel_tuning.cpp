@@ -77,7 +77,6 @@ KernelTuning default_kernel_tuning() {
   t.cpu = tuning_cpu_id();
   t.kernel = "";  // best supported
   t.blocking = GemmBlocking{};
-  t.householder_panel = 32;
   return t;
 }
 
@@ -129,9 +128,7 @@ bool load_kernel_tuning(const std::string& path, KernelTuning& out) {
       !json_int(text, "kc", t.blocking.kc) ||
       !json_int(text, "nc", t.blocking.nc))
     return false;
-  if (!json_int(text, "householder_panel", t.householder_panel)) return false;
-  if (t.blocking.mc < 1 || t.blocking.kc < 1 || t.blocking.nc < 1 ||
-      t.householder_panel < 4)
+  if (t.blocking.mc < 1 || t.blocking.kc < 1 || t.blocking.nc < 1)
     return false;
   out = t;
   return true;
@@ -150,15 +147,13 @@ bool save_kernel_tuning(const std::string& path, const KernelTuning& tuning) {
        << "  \"kernel\": \"" << tuning.kernel << "\",\n"
        << "  \"mc\": " << tuning.blocking.mc << ",\n"
        << "  \"kc\": " << tuning.blocking.kc << ",\n"
-       << "  \"nc\": " << tuning.blocking.nc << ",\n"
-       << "  \"householder_panel\": " << tuning.householder_panel << "\n"
+       << "  \"nc\": " << tuning.blocking.nc << "\n"
        << "}\n";
   return static_cast<bool>(outf);
 }
 
 void apply_kernel_tuning(const KernelTuning& tuning) {
   set_gemm_blocking(tuning.blocking);
-  set_householder_panel(tuning.householder_panel);
   const char* isa_env = std::getenv("HQR_KERNEL_ISA");
   if ((isa_env == nullptr || isa_env[0] == '\0') && !tuning.kernel.empty())
     set_active_micro_kernel(tuning.kernel);  // no-op on unknown/unsupported
@@ -176,8 +171,6 @@ void ensure_tuning_applied() {
     // Apply piecewise, skipping any knob already chosen deliberately
     // (tests and tools set these before constructing workspaces).
     if (!gemm_blocking_was_set()) set_gemm_blocking(t.blocking);
-    if (!householder_panel_was_set())
-      set_householder_panel(t.householder_panel);
     if (!micro_kernel_was_set() && !t.kernel.empty())
       set_active_micro_kernel(t.kernel);  // no-op on unknown/unsupported
   });

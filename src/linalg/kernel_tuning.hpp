@@ -1,9 +1,9 @@
 // Persistent per-host kernel tuning.
 //
 // The empirical tuner (core/kernel_tune.hpp, driven by tools/hqr_tune)
-// searches the micro-kernel shape, GEMM cache blocking, and Householder
-// panel width for the host CPU and saves the winner to a small versioned
-// JSON file keyed by the CPU brand string:
+// searches the micro-kernel shape and GEMM cache blocking for the host CPU
+// and saves the winner to a small versioned JSON file keyed by the CPU
+// brand string:
 //
 //   {$XDG_CACHE_HOME|~/.cache}/hqr/tuning-<cpu-id>.json
 //
@@ -27,11 +27,10 @@ struct KernelTuning {
   std::string cpu;     // tuning_cpu_id() of the machine that produced it
   std::string kernel;  // micro-kernel name or ISA tier ("" = best supported)
   GemmBlocking blocking{};
-  int householder_panel = 32;
 };
 
-// Built-in defaults: current GEMM blocking, panel width 32, best supported
-// micro-kernel. Used whenever no (valid) cache file exists.
+// Built-in defaults: current GEMM blocking, best supported micro-kernel.
+// Used whenever no (valid) cache file exists.
 KernelTuning default_kernel_tuning();
 
 // Stable per-host identifier derived from the CPU brand string (cpuid
@@ -43,13 +42,14 @@ std::string default_tuning_path();
 
 // Reads `path`; false on missing file, schema mismatch, or parse error
 // (out is left untouched). A cpu mismatch does NOT fail the load — callers
-// decide whether cross-host parameters are acceptable.
+// decide whether cross-host parameters are acceptable. Keys it does not
+// know, such as the retired "householder_panel", are ignored.
 bool load_kernel_tuning(const std::string& path, KernelTuning& out);
 
 // Writes `path` (creating parent directories); false on I/O failure.
 bool save_kernel_tuning(const std::string& path, const KernelTuning& tuning);
 
-// Installs blocking + panel width + micro-kernel process-wide. The kernel
+// Installs blocking + micro-kernel process-wide. The kernel
 // is skipped when HQR_KERNEL_ISA is set (explicit override) or when the
 // named kernel is unknown/unsupported on this CPU.
 void apply_kernel_tuning(const KernelTuning& tuning);

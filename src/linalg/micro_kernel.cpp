@@ -88,9 +88,7 @@ const MicroKernel& initial_kernel() {
   return best_supported();
 }
 
-std::atomic<int> g_householder_panel{32};
 std::atomic<bool> g_kernel_was_set{false};
-std::atomic<bool> g_panel_was_set{false};
 
 }  // namespace
 
@@ -144,19 +142,6 @@ bool micro_kernel_was_set() {
   if (g_kernel_was_set.load(std::memory_order_relaxed)) return true;
   const char* env = std::getenv("HQR_KERNEL_ISA");
   return env != nullptr && env[0] != '\0';
-}
-
-bool householder_panel_was_set() {
-  return g_panel_was_set.load(std::memory_order_relaxed);
-}
-
-void set_householder_panel(int width) {
-  g_householder_panel.store(width < 4 ? 4 : width, std::memory_order_relaxed);
-  g_panel_was_set.store(true, std::memory_order_relaxed);
-}
-
-int householder_panel() {
-  return g_householder_panel.load(std::memory_order_relaxed);
 }
 
 }  // namespace hqr

@@ -60,21 +60,13 @@ const MicroKernel& active_micro_kernel();
 bool set_active_micro_kernel(const std::string& name_or_isa);
 void set_active_micro_kernel(const MicroKernel& kernel);
 
-// True once a kernel / panel width has been set explicitly (setter or
-// HQR_KERNEL_ISA); the lazy tuning-cache hook checks these so deliberate
-// choices made before the first TileWorkspace are never clobbered.
+// True once a kernel has been set explicitly (setter or HQR_KERNEL_ISA);
+// the lazy tuning-cache hook checks this so a deliberate choice made before
+// the first TileWorkspace is never clobbered.
 bool micro_kernel_was_set();
-bool householder_panel_was_set();
 
 // Looks up a kernel by exact name or ISA tier (best of tier); nullptr when
 // unknown. Does not check CPU support.
 const MicroKernel* find_micro_kernel(const std::string& name_or_isa);
-
-// Process-wide panel width used by the full-T (ib = 0) Householder kernels
-// to aggregate their reflector updates into packed rank-k GEMMs. A tuning
-// knob like the GEMM blocking (mathematically invisible — the factors stay
-// the same compact-WY form); clamped to >= 4.
-void set_householder_panel(int width);
-int householder_panel();
 
 }  // namespace hqr

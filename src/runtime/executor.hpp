@@ -96,7 +96,7 @@ struct ExecutorOptions {
   bool priority_scheduling = true;
   // Data-reuse heuristic: keep one ready successor local to the worker.
   bool data_reuse = true;
-  // Inner block size for the kernels (0 = plain full-T kernels).
+  // Inner block size for the kernels (0 = default_ib(b)).
   int ib = 0;
   // Ready-task backend: per-worker stealing deques (default) or the single
   // locked priority queue baseline.

@@ -31,16 +31,26 @@ QROptions default_qr_options(int m, int n, int threads) {
   return o;
 }
 
-QRResult qr(const Matrix& a, const QROptions& opts_in) {
-  HQR_CHECK(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
-  QROptions o = opts_in;
+namespace {
+
+// Fills what the caller left to the shape heuristic. With b and the tree
+// both given, an unset ib stays 0 for QRFactors to resolve.
+QROptions resolve_options(const Matrix& a, QROptions o) {
   if (o.b <= 0 || o.auto_tree) {
-    QROptions d = default_qr_options(a.rows(), a.cols(), o.threads);
+    const QROptions d = default_qr_options(a.rows(), a.cols(), o.threads);
     if (o.b <= 0) o.b = d.b;
     if (o.ib <= 0) o.ib = d.ib;
     if (o.auto_tree) o.tree = d.tree;
   }
-  o.ib = std::clamp(o.ib, 1, o.b);
+  o.ib = std::clamp(o.ib, 0, o.b);
+  return o;
+}
+
+}  // namespace
+
+QRResult qr(const Matrix& a, const QROptions& opts_in) {
+  HQR_CHECK(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
+  const QROptions o = resolve_options(a, opts_in);
 
   TiledMatrix probe = TiledMatrix::from_matrix(a, o.b);
   EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), o.tree);
@@ -59,19 +69,14 @@ QRResult qr(const Matrix& a, const QROptions& opts_in) {
   out.r = extract_r(f);
   out.tree = o.tree;
   out.b = o.b;
-  out.ib = o.ib;
+  out.ib = f.ib();
   return out;
 }
 
 Matrix qr_solve(const Matrix& a, const Matrix& rhs, const QROptions& opts_in) {
   HQR_CHECK(a.rows() >= a.cols(), "qr_solve expects m >= n");
   HQR_CHECK(rhs.rows() == a.rows(), "rhs row mismatch");
-  QROptions o = opts_in;
-  QROptions d = default_qr_options(a.rows(), a.cols(), o.threads);
-  if (o.b <= 0) o.b = d.b;
-  if (o.ib <= 0) o.ib = d.ib;
-  if (o.auto_tree) o.tree = d.tree;
-  o.ib = std::clamp(o.ib, 1, o.b);
+  const QROptions o = resolve_options(a, opts_in);
 
   TiledMatrix probe = TiledMatrix::from_matrix(a, o.b);
   EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), o.tree);

@@ -15,7 +15,9 @@ namespace hqr {
 
 struct QROptions {
   int b = 0;        // tile size; 0 = choose from the shape
-  int ib = 0;       // inner block; 0 = b/4 (clamped), production kernels
+  // Inner block. 0 = the shape heuristic's b/4 when b or the tree is chosen
+  // automatically, else default_ib(b); values above b are clamped to b.
+  int ib = 0;
   int threads = 1;  // runtime workers
   // Override the automatic tree choice (used when auto_tree is false).
   bool auto_tree = true;
@@ -27,7 +29,7 @@ struct QRResult {
   Matrix r;          // min(m, n) x n, upper triangular/trapezoidal
   HqrConfig tree;    // the configuration actually used
   int b = 0;
-  int ib = 0;
+  int ib = 0;        // the inner block the kernels ran with
 };
 
 // Economy QR factorization of a (any shape).

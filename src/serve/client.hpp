@@ -52,7 +52,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // One QR round-trip: returns R (and Q when want_q).
+  // One QR round-trip: returns R (and Q when want_q). ib is the kernels'
+  // inner block in [1, b]; 0 lets the server choose (default_ib(b)).
   QROutcome submit_qr(const Matrix& a, int b, int ib = 0,
                       TreeChoice tree = TreeChoice::FlatTs, int priority = 0,
                       bool want_q = false);
@@ -67,7 +68,7 @@ class Client {
   QROutcome wait_result(std::int32_t id);
 
   // Many small problems fused into one scheduler pass server-side;
-  // returns one R per problem, in submission order.
+  // returns one R per problem, in submission order. ib as in submit_qr.
   std::vector<Matrix> submit_batch(const std::vector<Matrix>& problems, int b,
                                    int ib = 0,
                                    TreeChoice tree = TreeChoice::FlatTs,

@@ -144,9 +144,9 @@ std::optional<ErrorInfo> validate_shape(std::int32_t m, std::int32_t n,
   if (b < 1)
     return err(ErrorCode::BadTileSize,
                "tile size must be >= 1, got " + std::to_string(b));
-  if (ib < 0 || ib >= b)
+  if (ib < 0 || ib > b)
     return err(ErrorCode::BadInnerBlock,
-               "inner block must be 0 (plain kernels) or in [1, b), got ib=" +
+               "inner block must be 0 (server chooses) or in [1, b], got ib=" +
                    std::to_string(ib) + " with b=" + std::to_string(b));
   if (m > limits.max_dimension || n > limits.max_dimension)
     return err(ErrorCode::TooLarge,

@@ -58,7 +58,7 @@ EliminationList elimination_for(TreeChoice t, int mt, int nt);
 enum class ErrorCode : std::int32_t {
   BadDimensions = 1,   // m or n < 1
   BadTileSize = 2,     // b < 1
-  BadInnerBlock = 3,   // ib < 0 or ib >= b (0 = plain kernels is valid)
+  BadInnerBlock = 3,   // ib < 0 or ib > b (0 = server chooses default_ib)
   TooLarge = 4,        // matrix or payload exceeds the server's limits
   BadTree = 5,         // unknown TreeChoice value
   Malformed = 6,       // payload does not parse / wrong length
@@ -107,7 +107,7 @@ std::optional<ErrorInfo> validate_shape(std::int32_t m, std::int32_t n,
 struct QRJob {
   std::int64_t tenant = 0;  // accounting key (per-tenant counters)
   std::int32_t b = 32;
-  std::int32_t ib = 0;
+  std::int32_t ib = 0;  // inner block in [1, b]; 0 = server chooses
   TreeChoice tree = TreeChoice::FlatTs;
   std::int32_t priority = 0;
   bool want_q = false;
@@ -138,7 +138,7 @@ QROutcome decode_result(const std::vector<std::uint8_t>& payload);
 struct BatchJob {
   std::int64_t tenant = 0;
   std::int32_t b = 8;
-  std::int32_t ib = 0;
+  std::int32_t ib = 0;  // as in QRJob
   TreeChoice tree = TreeChoice::FlatTs;
   std::int32_t priority = 0;
   std::vector<Matrix> problems;

@@ -1,6 +1,6 @@
-// End-to-end factorization with the inner-blocked production kernels: every
-// path (sequential, parallel, Q build/apply, least squares) must stay at
-// machine precision for any ib, and R must agree with the plain kernels.
+// End-to-end factorization with the inner-blocked kernels: every path
+// (sequential, parallel, Q build/apply, least squares) must stay at machine
+// precision for any ib, and R must agree with the reference Householder QR.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,8 +8,10 @@
 
 #include "common/rng.hpp"
 #include "core/factorization.hpp"
+#include "kernels/ib_kernels.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "linalg/ref_qr.hpp"
 #include "runtime/executor.hpp"
 #include "trees/hqr_tree.hpp"
 #include "trees/single_level.hpp"
@@ -41,17 +43,17 @@ TEST_P(IbFactorization, SequentialExactness) {
   EXPECT_LT(factorization_residual(a0.view(), qs.view(), r.view()), kTol);
 }
 
-TEST_P(IbFactorization, RMatchesPlainKernels) {
+TEST_P(IbFactorization, RMatchesReference) {
   auto [m, n, b, ib] = GetParam();
   Rng rng(static_cast<std::uint64_t>(m) * 41 + n * 3 + b + ib);
   Matrix a0 = random_gaussian(m, n, rng);
   TiledMatrix probe = TiledMatrix::from_matrix(a0, b);
   auto list = flat_ts_list(probe.mt(), probe.nt());
   Matrix r_ib = extract_r(qr_factorize_sequential(a0, b, list, ib));
-  Matrix r_pl = extract_r(qr_factorize_sequential(a0, b, list, 0));
+  RefQR ref = ref_qr_unblocked(a0);
   for (int j = 0; j < r_ib.cols(); ++j)
     for (int i = 0; i <= std::min(j, r_ib.rows() - 1); ++i)
-      EXPECT_NEAR(std::abs(r_ib(i, j)), std::abs(r_pl(i, j)), 1e-10);
+      EXPECT_NEAR(std::abs(r_ib(i, j)), std::abs(ref.a(i, j)), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -112,6 +114,23 @@ TEST(IbFactorizationRuntime, InvalidIbThrows) {
   Matrix a0 = random_gaussian(8, 8, rng);
   EXPECT_THROW(qr_factorize_sequential(a0, 4, flat_ts_list(2, 2), 5), Error);
   EXPECT_THROW(qr_factorize_sequential(a0, 4, flat_ts_list(2, 2), -1), Error);
+}
+
+TEST(IbFactorizationRuntime, ZeroIbResolvesToDefaultAndShrinksT) {
+  Rng rng(76);
+  for (const int b : {8, 32, 40}) {
+    Matrix a0 = random_gaussian(2 * b, b, rng);
+    const auto list = flat_ts_list(2, 1);
+    QRFactors f = qr_factorize_sequential(a0, b, list, 0);
+    EXPECT_EQ(f.ib(), default_ib(b));
+    EXPECT_EQ(f.t_geqrt(0, 0).rows, default_ib(b));
+    EXPECT_EQ(f.t_geqrt(0, 0).cols, b);
+    EXPECT_EQ(f.t_pencil(1, 0).rows, default_ib(b));
+    // Bit-identical to asking for the default explicitly.
+    QRFactors g = qr_factorize_sequential(a0, b, list, default_ib(b));
+    Matrix rf = extract_r(f), rg = extract_r(g);
+    EXPECT_EQ(max_abs_diff(rf.view(), rg.view()), 0.0);
+  }
 }
 
 TEST(IbFactorizationRuntime, IbEqualToTileSizeUsesStackedLayout) {

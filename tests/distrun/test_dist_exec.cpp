@@ -45,6 +45,7 @@ struct Setup {
   int m, n, b;
   Distribution dist;
   int threads = 1;
+  int ib = 0;
 };
 
 // Forks dist.nodes() ranks, factors, and verifies on rank 0 that the
@@ -61,6 +62,7 @@ int run_case(const Setup& s) {
 
     distrun::DistOptions opts;
     opts.threads = s.threads;
+    opts.ib = s.ib;
     opts.progress_timeout_seconds = 60.0;
     distrun::DistStats stats;
     QRFactors f =
@@ -90,6 +92,12 @@ TEST(DistExec, SingleRankMatchesSequential) {
 
 TEST(DistExec, BlockCyclic2DFourRanks) {
   EXPECT_EQ(run_case({192, 160, 32, Distribution::block_cyclic_2d(2, 2)}), 0);
+}
+
+// ib < b: every T travels as ib x b, a quarter of a tile here.
+TEST(DistExec, BlockCyclic2DFourRanksInnerBlocked) {
+  EXPECT_EQ(
+      run_case({192, 160, 32, Distribution::block_cyclic_2d(2, 2), 1, 8}), 0);
 }
 
 TEST(DistExec, Cyclic1DThreeRanksTallSkinny) {

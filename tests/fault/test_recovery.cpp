@@ -23,9 +23,15 @@ namespace {
 
 constexpr int kM = 384, kN = 384, kB = 64;
 
+struct Tiling {
+  int b = kB;
+  int ib = 0;
+};
+
 // On mismatch, says what diverged — a rare under-load failure here is
 // useless without knowing whether it was an A tile or a T factor and where.
 bool bit_identical(const QRFactors& x, const QRFactors& y) {
+  const int b = x.b();
   const Matrix ax = x.a().to_padded_matrix();
   const Matrix ay = y.a().to_padded_matrix();
   long long bad_a = 0;
@@ -66,14 +72,15 @@ bool bit_identical(const QRFactors& x, const QRFactors& y) {
     std::fprintf(stderr,
                  "[bit_identical] A mismatch: %lld entries, first at "
                  "(%d,%d) tile (%d,%d)\n",
-                 bad_a, first_i, first_j, first_i / kB, first_j / kB);
+                 bad_a, first_i, first_j, first_i / b, first_j / b);
   return bad_a == 0 && bad_t == 0;
 }
 
 // Child exit codes: 2 = not bit-identical, 3 = no replacement incarnation,
 // 4 = re-executed task count off, 5 = replacement traffic off, 6 = replay
 // exceeded the plan bound.
-int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
+int run_kill_recovery(const std::string& transport, BroadcastKind bcast,
+                      Tiling tiling = {}) {
   const fault::FaultPlan fplan = fault::FaultPlan::parse("kill:2@3");
   const int victim = 2;
 
@@ -81,13 +88,14 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
                              const fault::FtRankContext& ctx) -> int {
     Rng rng(42);
     Matrix a = random_gaussian(kM, kN, rng);
-    const TiledMatrix probe = TiledMatrix::from_matrix(a, kB);
+    const TiledMatrix probe = TiledMatrix::from_matrix(a, tiling.b);
     HqrConfig cfg{4, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
     EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
     const Distribution dist = Distribution::block_cyclic_2d(2, 2);
 
     distrun::DistOptions opts;
     opts.threads = 2;
+    opts.ib = tiling.ib;
     opts.broadcast = bcast;
     opts.progress_timeout_seconds = 60.0;
     opts.fault.faults = ctx.faults;
@@ -97,11 +105,11 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
     opts.fault.control_fd = ctx.control_fd;
 
     distrun::DistStats stats;
-    QRFactors f =
-        distrun::dist_qr_factorize(comm, a, kB, list, dist, opts, &stats);
+    QRFactors f = distrun::dist_qr_factorize(comm, a, tiling.b, list, dist,
+                                             opts, &stats);
     if (comm.rank() != 0) return 0;
 
-    QRFactors ref = qr_factorize_sequential(a, kB, list, opts.ib);
+    QRFactors ref = qr_factorize_sequential(a, tiling.b, list, opts.ib);
     if (!bit_identical(f, ref)) {
       for (std::size_t r = 0; r < stats.ranks.size(); ++r)
         std::fprintf(stderr,
@@ -160,6 +168,11 @@ TEST(Recovery, KillMidRunRecoversBitIdenticalTcpTransport) {
 
 TEST(Recovery, KillMidRunRecoversUnderEagerBroadcast) {
   EXPECT_EQ(run_kill_recovery("unix", BroadcastKind::Eager), 0);
+}
+
+// ib < b: replayed and re-executed frames carry ib x b T factors.
+TEST(Recovery, KillMidRunRecoversInnerBlocked) {
+  EXPECT_EQ(run_kill_recovery("unix", BroadcastKind::Binomial, {32, 8}), 0);
 }
 
 TEST(Recovery, DropLinkRewiresWithoutReplacement) {

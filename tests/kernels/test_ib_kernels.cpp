@@ -92,18 +92,70 @@ TEST_P(IbSizes, GeqrtIbFactorsExactly) {
   EXPECT_LT(max_abs_diff(r.view(), r_expect.view()), kTol);
 }
 
-TEST_P(IbSizes, GeqrtIbRMatchesPlainGeqrt) {
+TEST_P(IbSizes, GeqrtIbRMatchesReference) {
   auto [b, ib] = GetParam();
   Rng rng(b * 101 + ib);
   Matrix a0 = random_gaussian(b, b, rng);
   TileWorkspace ws(b);
-  Matrix a_ib = a0, t_ib(b, b);
+  Matrix a_ib = a0, t_ib(ib, b);
   geqrt_ib(a_ib.view(), t_ib.view(), ib, ws);
-  Matrix a_pl = a0, t_pl(b, b);
-  geqrt(a_pl.view(), t_pl.view(), ws);
+  RefQR ref = ref_qr_unblocked(a0);
   for (int j = 0; j < b; ++j)
     for (int i = 0; i <= j; ++i)
-      EXPECT_NEAR(std::abs(a_ib(i, j)), std::abs(a_pl(i, j)), 1e-11);
+      EXPECT_NEAR(std::abs(a_ib(i, j)), std::abs(ref.a(i, j)), 1e-11);
+}
+
+// The kernels read and write only the first ib rows of T: an ib x b buffer
+// (the factorization's layout) gives the same bits as a b x b one, and the
+// rows past ib of a b x b buffer stay untouched.
+TEST_P(IbSizes, IbRowTBufferMatchesSquareBuffer) {
+  auto [b, ib] = GetParam();
+  Rng rng(b * 107 + ib);
+  const Matrix a1_0 = random_gaussian(b, b, rng);
+  const Matrix a2_0 = random_gaussian(b, b, rng);
+  const Matrix c1_0 = random_gaussian(b, b, rng);
+  const Matrix c2_0 = random_gaussian(b, b, rng);
+  TileWorkspace ws(b);
+  const auto same = [](ConstMatrixView x, ConstMatrixView y) {
+    for (int j = 0; j < x.cols; ++j)
+      for (int i = 0; i < x.rows; ++i)
+        if (x(i, j) != y(i, j)) return false;
+    return true;
+  };
+  for (int kind = 0; kind < 3; ++kind) {
+    Matrix a1s = a1_0, a2s = a2_0, ts(b, b);
+    Matrix a1n = a1_0, a2n = a2_0, tn(ib, b);
+    for (int j = 0; j < b; ++j)
+      for (int i = ib; i < b; ++i) ts(i, j) = 7.0;  // sentinel
+    Matrix c1s = c1_0, c2s = c2_0, c1n = c1_0, c2n = c2_0;
+    if (kind == 0) {
+      geqrt_ib(a1s.view(), ts.view(), ib, ws);
+      geqrt_ib(a1n.view(), tn.view(), ib, ws);
+      unmqr_ib(a1s.view(), ts.view(), ib, Trans::Yes, c1s.view(), ws);
+      unmqr_ib(a1n.view(), tn.view(), ib, Trans::Yes, c1n.view(), ws);
+    } else if (kind == 1) {
+      tsqrt_ib(a1s.view(), a2s.view(), ts.view(), ib, ws);
+      tsqrt_ib(a1n.view(), a2n.view(), tn.view(), ib, ws);
+      tsmqr_ib(c1s.view(), c2s.view(), a2s.view(), ts.view(), ib, Trans::Yes,
+               ws);
+      tsmqr_ib(c1n.view(), c2n.view(), a2n.view(), tn.view(), ib, Trans::Yes,
+               ws);
+    } else {
+      ttqrt_ib(a1s.view(), a2s.view(), ts.view(), ib, ws);
+      ttqrt_ib(a1n.view(), a2n.view(), tn.view(), ib, ws);
+      ttmqr_ib(c1s.view(), c2s.view(), a2s.view(), ts.view(), ib, Trans::Yes,
+               ws);
+      ttmqr_ib(c1n.view(), c2n.view(), a2n.view(), tn.view(), ib, Trans::Yes,
+               ws);
+    }
+    EXPECT_TRUE(same(a1s.view(), a1n.view())) << "kind " << kind;
+    EXPECT_TRUE(same(a2s.view(), a2n.view())) << "kind " << kind;
+    EXPECT_TRUE(same(ts.block(0, 0, ib, b), tn.view())) << "kind " << kind;
+    EXPECT_TRUE(same(c1s.view(), c1n.view())) << "kind " << kind;
+    EXPECT_TRUE(same(c2s.view(), c2n.view())) << "kind " << kind;
+    for (int j = 0; j < b; ++j)
+      for (int i = ib; i < b; ++i) ASSERT_EQ(ts(i, j), 7.0) << "kind " << kind;
+  }
 }
 
 TEST_P(IbSizes, UnmqrIbRoundTrips) {
@@ -249,6 +301,20 @@ TEST(IbKernels, BadIbThrows) {
   Matrix a(4, 4), t(4, 4);
   EXPECT_THROW(geqrt_ib(a.view(), t.view(), 0, ws), Error);
   EXPECT_THROW(geqrt_ib(a.view(), t.view(), 5, ws), Error);
+  // T needs at least ib rows and exactly b columns.
+  Matrix short_t(1, 4), narrow_t(4, 3);
+  EXPECT_THROW(geqrt_ib(a.view(), short_t.view(), 2, ws), Error);
+  EXPECT_THROW(geqrt_ib(a.view(), narrow_t.view(), 2, ws), Error);
+  EXPECT_THROW(unmqr_ib(a.view(), short_t.view(), 2, Trans::Yes, a.view(), ws),
+               Error);
+}
+
+TEST(IbKernels, DefaultIbIsOnePanelUpTo32) {
+  EXPECT_EQ(default_ib(1), 1);
+  EXPECT_EQ(default_ib(8), 8);
+  EXPECT_EQ(default_ib(32), 32);
+  EXPECT_EQ(default_ib(33), 32);
+  EXPECT_EQ(default_ib(200), 32);
 }
 
 TEST(IbKernels, TsChainWithIbMatchesReference) {

@@ -1,4 +1,4 @@
-#include "kernels/tile_kernels.hpp"
+#include "kernels/ib_kernels.hpp"
 
 #include <gtest/gtest.h>
 

@@ -30,7 +30,6 @@ TEST(KernelTuning, SaveLoadRoundTrip) {
   t.cpu = "test-cpu-0";
   t.kernel = "avx512-16x8";
   t.blocking = {288, 320, 4092};
-  t.householder_panel = 24;
   ASSERT_TRUE(save_kernel_tuning(path, t));  // creates the parent dir
 
   KernelTuning r;
@@ -40,7 +39,29 @@ TEST(KernelTuning, SaveLoadRoundTrip) {
   EXPECT_EQ(r.blocking.mc, t.blocking.mc);
   EXPECT_EQ(r.blocking.kc, t.blocking.kc);
   EXPECT_EQ(r.blocking.nc, t.blocking.nc);
-  EXPECT_EQ(r.householder_panel, t.householder_panel);
+}
+
+// Caches written before the Householder panel knob was retired carry a
+// "householder_panel" key (any value): they must still load their kernel
+// and blocking rather than fall back to the defaults.
+TEST(KernelTuning, RetiredPanelKeyStillLoads) {
+  const std::string path = temp_path("hqr-tuning-legacy-panel.json");
+  write_file(path, R"({
+  "schema": "hqr-tuning-v1",
+  "cpu": "legacy-cpu",
+  "kernel": "avx2-12x4",
+  "mc": 192,
+  "kc": 320,
+  "nc": 2048,
+  "householder_panel": 2
+})");
+  KernelTuning r;
+  ASSERT_TRUE(load_kernel_tuning(path, r));
+  EXPECT_EQ(r.cpu, "legacy-cpu");
+  EXPECT_EQ(r.kernel, "avx2-12x4");
+  EXPECT_EQ(r.blocking.mc, 192);
+  EXPECT_EQ(r.blocking.kc, 320);
+  EXPECT_EQ(r.blocking.nc, 2048);
 }
 
 TEST(KernelTuning, EmptyKernelMeansBestSupported) {
@@ -73,22 +94,18 @@ TEST(KernelTuning, CorruptFilesAreRejected) {
       {"empty.json", ""},
       {"wrong-schema.json",
        R"({"schema": "hqr-tuning-v999", "cpu": "x", "kernel": "",
-           "mc": 144, "kc": 256, "nc": 4092, "householder_panel": 32})"},
+           "mc": 144, "kc": 256, "nc": 4092})"},
       {"no-schema.json",
-       R"({"cpu": "x", "mc": 144, "kc": 256, "nc": 4092,
-           "householder_panel": 32})"},
+       R"({"cpu": "x", "mc": 144, "kc": 256, "nc": 4092})"},
       {"missing-blocking.json",
        R"({"schema": "hqr-tuning-v1", "cpu": "x", "kernel": "",
-           "mc": 144, "householder_panel": 32})"},
+           "mc": 144})"},
       {"nonpositive-blocking.json",
        R"({"schema": "hqr-tuning-v1", "cpu": "x", "kernel": "",
-           "mc": 0, "kc": 256, "nc": 4092, "householder_panel": 32})"},
-      {"tiny-panel.json",
-       R"({"schema": "hqr-tuning-v1", "cpu": "x", "kernel": "",
-           "mc": 144, "kc": 256, "nc": 4092, "householder_panel": 2})"},
+           "mc": 0, "kc": 256, "nc": 4092})"},
       {"non-numeric.json",
        R"({"schema": "hqr-tuning-v1", "cpu": "x", "kernel": "",
-           "mc": "fast", "kc": 256, "nc": 4092, "householder_panel": 32})"},
+           "mc": "fast", "kc": 256, "nc": 4092})"},
   };
   for (const Case& c : cases) {
     const std::string path = temp_path(c.name);
@@ -107,7 +124,6 @@ TEST(KernelTuning, CpuMismatchLoadsButIsCallersDecision) {
   KernelTuning t;
   t.cpu = "some-other-machine";
   t.blocking = {96, 192, 1024};
-  t.householder_panel = 16;
   ASSERT_TRUE(save_kernel_tuning(path, t));
   KernelTuning r;
   ASSERT_TRUE(load_kernel_tuning(path, r));

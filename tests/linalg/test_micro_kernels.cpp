@@ -167,15 +167,5 @@ TEST_F(MicroKernels, SupportedVariantsAreBitIdenticalToPortable) {
 }
 #endif  // __FMA__
 
-TEST_F(MicroKernels, HouseholderPanelClampsAndReports) {
-  const int before = householder_panel();
-  set_householder_panel(24);
-  EXPECT_EQ(householder_panel(), 24);
-  EXPECT_TRUE(householder_panel_was_set());
-  set_householder_panel(1);  // clamped to the minimum useful width
-  EXPECT_EQ(householder_panel(), 4);
-  set_householder_panel(before);
-}
-
 }  // namespace
 }  // namespace hqr

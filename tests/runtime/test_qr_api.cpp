@@ -57,6 +57,33 @@ TEST(QrApi, ExplicitConfigRespected) {
   EXPECT_LT(orthogonality_error(res.q.view()), kTol);
 }
 
+// With b and the tree given, an unset ib reaches QRFactors as 0 and runs at
+// default_ib(b) — not clamped to 1 (column-at-a-time inner blocking).
+TEST(QrApi, UnsetIbWithExplicitTileAndTreeUsesDefaultIb) {
+  Rng rng(11);
+  Matrix a = random_gaussian(96, 64, rng);
+  Matrix rhs = random_gaussian(96, 2, rng);
+  QROptions o;
+  o.b = 32;
+  o.ib = 0;
+  o.threads = 2;
+  o.auto_tree = false;
+  o.tree = HqrConfig{1, 1, TreeKind::Flat, TreeKind::Flat, false};
+  QRResult res = qr(a, o);
+  EXPECT_EQ(res.ib, 32);
+  EXPECT_LT(factorization_residual(a.view(), res.q.view(), res.r.view()),
+            kTol);
+
+  // qr_solve returns no options: its x must be bit-identical to an explicit
+  // ib = 32 solve and differ from the ib = 1 one the old clamp produced.
+  const Matrix x0 = qr_solve(a, rhs, o);
+  QROptions o32 = o, o1 = o;
+  o32.ib = 32;
+  o1.ib = 1;
+  EXPECT_EQ(max_abs_diff(x0.view(), qr_solve(a, rhs, o32).view()), 0.0);
+  EXPECT_NE(max_abs_diff(x0.view(), qr_solve(a, rhs, o1).view()), 0.0);
+}
+
 TEST(QrApi, DefaultOptionsHeuristics) {
   // Tall-skinny: domino coupling on; square-ish: off.
   QROptions ts = default_qr_options(100000, 600, 8);

@@ -57,8 +57,7 @@ TEST(Protocol, ValidationRejectsBadShapes) {
       {4, 4, 0, 0, ErrorCode::BadTileSize},
       {4, 4, -2, 0, ErrorCode::BadTileSize},
       {4, 4, 4, -1, ErrorCode::BadInnerBlock},
-      {4, 4, 4, 5, ErrorCode::BadInnerBlock},  // ib > b
-      {4, 4, 4, 4, ErrorCode::BadInnerBlock},  // ib == b also invalid
+      {4, 4, 4, 5, ErrorCode::BadInnerBlock},  // ib = b + 1
       {128, 4, 4, 0, ErrorCode::TooLarge},     // > max_dimension
       {40, 40, 4, 0, ErrorCode::TooLarge},     // > max_elements
       {4, 4, 128, 0, ErrorCode::TooLarge},     // b > max_dimension
@@ -71,6 +70,8 @@ TEST(Protocol, ValidationRejectsBadShapes) {
     EXPECT_EQ(e->code, c.want) << e->message;
   }
   EXPECT_FALSE(validate_shape(8, 8, 4, 0, small_limits()).has_value());
+  // ib = 0 lets the server choose; ib == b is one panel per tile.
+  EXPECT_FALSE(validate_shape(4, 4, 4, 4, small_limits()).has_value());
   EXPECT_FALSE(validate_shape(8, 8, 4, 2, small_limits()).has_value());
 }
 

@@ -200,7 +200,7 @@ TEST(Serve, ValidationErrorsAreTypedAndNonFatal) {
               [&] { client.submit_qr(Matrix(0, 4), 4); });
   expect_code(ErrorCode::BadTileSize, [&] { client.submit_qr(a, 0); });
   expect_code(ErrorCode::BadInnerBlock, [&] { client.submit_qr(a, 4, 5); });
-  expect_code(ErrorCode::BadInnerBlock, [&] { client.submit_qr(a, 4, 4); });
+  expect_code(ErrorCode::BadInnerBlock, [&] { client.submit_qr(a, 4, -1); });
   expect_code(ErrorCode::BadBatch, [&] { client.submit_batch({}, 4); });
   expect_code(ErrorCode::UnknownStream,
               [&] { client.stream_append(999, a); });
@@ -209,6 +209,10 @@ TEST(Serve, ValidationErrorsAreTypedAndNonFatal) {
   QROutcome res = client.submit_qr(a, 4);
   Matrix want = sequential_r(a, 4, TreeChoice::FlatTs);
   EXPECT_EQ(max_abs_diff(want.view(), res.r.view()), 0.0);
+  // ib == b (one panel per tile) is a valid request.
+  QROutcome one_panel = client.submit_qr(a, 4, 4);
+  Matrix want4 = sequential_r(a, 4, TreeChoice::FlatTs, 4);
+  EXPECT_EQ(max_abs_diff(want4.view(), one_panel.r.view()), 0.0);
   EXPECT_EQ(server.status().requests_rejected, 6);
   server.stop();
 }

@@ -1,7 +1,7 @@
 // hqr_tune: empirical kernel autotuner CLI.
 //
-// Searches micro-kernel shape x GEMM cache blocking x Householder panel
-// width for this machine (see core/kernel_tune.hpp) and writes the winner
+// Searches micro-kernel shape x GEMM cache blocking for this machine (see
+// core/kernel_tune.hpp) and writes the winner
 // to the per-host tuning cache, which every hqr binary loads automatically
 // at startup.
 //
@@ -23,8 +23,7 @@ void usage(const char* argv0) {
       "usage: %s [--b N] [--ib N] [--min-time SECS] [--out PATH]\n"
       "          [--dry-run] [--quiet]\n"
       "  --b N          tile size to tune for (default 280)\n"
-      "  --ib N         inner block size of the ib kernel paths (default 32;\n"
-      "                 0 = tune the full-T paths only)\n"
+      "  --ib N         inner block size of the timed kernel, 1..b (default 32)\n"
       "  --min-time S   seconds of measurement per candidate (default 0.02)\n"
       "  --out PATH     cache file to write (default: the per-host path)\n"
       "  --dry-run      search and print, but do not write the cache\n"
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opts.b < 8 || opts.ib < 0 || opts.min_time <= 0.0) {
+  if (opts.b < 8 || opts.ib < 1 || opts.ib > opts.b || opts.min_time <= 0.0) {
     std::fprintf(stderr, "%s: invalid options\n", argv[0]);
     return 2;
   }
@@ -85,10 +84,8 @@ int main(int argc, char** argv) {
   }
 
   const hqr::KernelTuning best = hqr::tune_kernels(opts);
-  std::printf(
-      "best: kernel=%s mc=%d kc=%d nc=%d householder_panel=%d\n",
-      best.kernel.c_str(), best.blocking.mc, best.blocking.kc,
-      best.blocking.nc, best.householder_panel);
+  std::printf("best: kernel=%s mc=%d kc=%d nc=%d\n", best.kernel.c_str(),
+              best.blocking.mc, best.blocking.kc, best.blocking.nc);
 
   if (dry_run) {
     std::printf("dry run: not writing %s\n", out_path.c_str());

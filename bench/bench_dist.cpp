@@ -189,6 +189,8 @@ int main(int argc, char** argv) {
   const int m = static_cast<int>(cli.integer("m"));
   const int n = static_cast<int>(cli.integer("n"));
   const int b = static_cast<int>(cli.integer("b"));
+  const int mt = TiledMatrix::tile_count(m, b);
+  const int nt = TiledMatrix::tile_count(n, b);
   const int cores = static_cast<int>(cli.integer("cores"));
   const std::string fragment = "bench_dist_fragment.tmp";
 
@@ -203,14 +205,13 @@ int main(int argc, char** argv) {
     const auto rank_main = [&](net::Comm& comm) -> int {
       Rng rng(11);
       Matrix a = random_gaussian(m, n, rng);
-      const TiledMatrix probe = TiledMatrix::from_matrix(a, b);
       HqrConfig cfg;
       cfg.p = static_cast<int>(cli.integer("p"));
       cfg.a = static_cast<int>(cli.integer("a"));
       cfg.low = tree_from_name(cli.str("low"));
       cfg.high = tree_from_name(cli.str("high"));
       cfg.domino = cli.flag("domino");
-      EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
+      EliminationList list = hqr_elimination_list(mt, nt, cfg);
       const Distribution dist = Distribution::block_cyclic_2d(gp, gq);
 
       distrun::DistOptions opts;

@@ -82,9 +82,10 @@ int main(int argc, char** argv) {
 
   Rng rng(11);
   Matrix a = random_gaussian(m, n, rng);
-  TiledMatrix probe = TiledMatrix::from_matrix(a, b);
+  const int mt = TiledMatrix::tile_count(m, b);
+  const int nt = TiledMatrix::tile_count(n, b);
   HqrConfig cfg{4, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
-  auto list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
+  auto list = hqr_elimination_list(mt, nt, cfg);
   const double gflop = qr_useful_flops(m, n) / 1e9;
 
   std::vector<RunRow> rows;
@@ -130,8 +131,8 @@ int main(int argc, char** argv) {
     opts.trace = obs.trace();
     opts.metrics = obs.metrics();
     TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
-    KernelList kernels = expand_to_kernels(list, probe.mt(), probe.nt());
-    TaskGraph graph(kernels, probe.mt(), probe.nt());
+    KernelList kernels = expand_to_kernels(list, mt, nt);
+    TaskGraph graph(kernels, mt, nt);
     QRFactors f(std::move(tiled), std::move(kernels), opts.ib);
     RunStats stats = execute_parallel(f, graph, opts);
     std::cout << "\nobserved rerun (8 threads, "

@@ -124,6 +124,8 @@ int main(int argc, char** argv) {
   const int m = static_cast<int>(cli.integer("m"));
   const int n = static_cast<int>(cli.integer("n"));
   const int b = static_cast<int>(cli.integer("b"));
+  const int mt = TiledMatrix::tile_count(m, b);
+  const int nt = TiledMatrix::tile_count(n, b);
   const BroadcastKind bcast = bcast_from_name(cli.str("bcast"));
   const double timeout = static_cast<double>(cli.integer("timeout"));
   const std::string trace_prefix =
@@ -135,7 +137,6 @@ int main(int argc, char** argv) {
   const auto rank_main = [&](net::Comm& comm) -> int {
     Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
     Matrix a = random_gaussian(m, n, rng);
-    const TiledMatrix probe = TiledMatrix::from_matrix(a, b);
 
     HqrConfig cfg;
     cfg.p = static_cast<int>(cli.integer("p"));
@@ -143,10 +144,10 @@ int main(int argc, char** argv) {
     cfg.low = tree_from_name(cli.str("low"));
     cfg.high = tree_from_name(cli.str("high"));
     cfg.domino = cli.flag("domino");
-    EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-    check_valid(list, probe.mt(), probe.nt());
+    EliminationList list = hqr_elimination_list(mt, nt, cfg);
+    check_valid(list, mt, nt);
 
-    const Distribution dist = make_distribution(cli, ranks, probe.mt());
+    const Distribution dist = make_distribution(cli, ranks, mt);
 
     obs::TraceRecorder trace;
     distrun::DistOptions opts;
@@ -179,8 +180,8 @@ int main(int argc, char** argv) {
     if (comm.rank() != 0) return 0;
 
     std::cout << "algorithm: " << cfg.describe() << "\n"
-              << "matrix: " << m << " x " << n << " elements, " << probe.mt()
-              << " x " << probe.nt() << " tiles of " << b << "\n"
+              << "matrix: " << m << " x " << n << " elements, " << mt
+              << " x " << nt << " tiles of " << b << "\n"
               << "ranks: " << ranks << " (" << dist.describe() << "), "
               << opts.threads << " thread(s) each\n"
               << "transport: " << cli.str("transport") << ", broadcast: "
@@ -201,8 +202,8 @@ int main(int argc, char** argv) {
     long long measured_msgs = 0;
     for (const distrun::DistRankStats& r : stats.ranks)
       measured_msgs += r.data_messages_sent;
-    KernelList kernels = expand_to_kernels(list, probe.mt(), probe.nt());
-    TaskGraph graph(kernels, probe.mt(), probe.nt());
+    KernelList kernels = expand_to_kernels(list, mt, nt);
+    TaskGraph graph(kernels, mt, nt);
     SimOptions sopts;
     sopts.b = b;
     sopts.broadcast = bcast;
@@ -255,7 +256,6 @@ int main(int argc, char** argv) {
     // executed (rebuilt deterministically from the same CLI arguments):
     // every planned inter-rank message must appear as one paired flow whose
     // aligned send timestamp precedes its receive timestamp.
-    const int mt = (m + b - 1) / b, nt = (n + b - 1) / b;
     HqrConfig cfg;
     cfg.p = static_cast<int>(cli.integer("p"));
     cfg.a = static_cast<int>(cli.integer("a"));

@@ -130,6 +130,8 @@ int main(int argc, char** argv) {
   const int m = static_cast<int>(cli.integer("m"));
   const int n = static_cast<int>(cli.integer("n"));
   const int b = static_cast<int>(cli.integer("b"));
+  const int mt = TiledMatrix::tile_count(m, b);
+  const int nt = TiledMatrix::tile_count(n, b);
   const int gp = static_cast<int>(cli.integer("grid-p"));
   const int gq = static_cast<int>(cli.integer("grid-q"));
   HQR_CHECK(gp * gq == ranks, "--grid-p * --grid-q must equal --ranks");
@@ -146,7 +148,6 @@ int main(int argc, char** argv) {
                              const fault::FtRankContext& ctx) -> int {
     Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
     Matrix a = random_gaussian(m, n, rng);
-    const TiledMatrix probe = TiledMatrix::from_matrix(a, b);
 
     HqrConfig cfg;
     cfg.p = static_cast<int>(cli.integer("p"));
@@ -154,8 +155,8 @@ int main(int argc, char** argv) {
     cfg.low = tree_from_name(cli.str("low"));
     cfg.high = tree_from_name(cli.str("high"));
     cfg.domino = cli.flag("domino");
-    EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-    check_valid(list, probe.mt(), probe.nt());
+    EliminationList list = hqr_elimination_list(mt, nt, cfg);
+    check_valid(list, mt, nt);
     const Distribution dist = Distribution::block_cyclic_2d(gp, gq);
 
     obs::TraceRecorder trace;
@@ -184,8 +185,8 @@ int main(int argc, char** argv) {
 
     write_fragment(fragment, stats.ranks);
     std::cout << "plan: " << fplan.describe() << "\n"
-              << "matrix: " << m << " x " << n << ", tiles " << probe.mt()
-              << " x " << probe.nt() << " of " << b << ", ranks " << ranks
+              << "matrix: " << m << " x " << n << ", tiles " << mt
+              << " x " << nt << " of " << b << ", ranks " << ranks
               << " (" << dist.describe() << ")\n"
               << "transport: " << cli.str("transport") << ", broadcast: "
               << cli.str("bcast") << "\n"
@@ -250,7 +251,6 @@ int main(int argc, char** argv) {
   // prediction for the same fault plan.
   const std::vector<distrun::DistRankStats> measured = read_fragment(fragment);
   std::remove(fragment.c_str());
-  const int mt = (m + b - 1) / b, nt = (n + b - 1) / b;
   HqrConfig cfg;
   cfg.p = static_cast<int>(cli.integer("p"));
   cfg.a = static_cast<int>(cli.integer("a"));

@@ -51,12 +51,13 @@ int main(int argc, char** argv) {
   cfg.high = tree_from_name(cli.str("high"));
   cfg.domino = cli.flag("domino");
 
-  const TiledMatrix probe = TiledMatrix::from_matrix(a, b);
-  EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-  check_valid(list, probe.mt(), probe.nt());
+  const int mt = TiledMatrix::tile_count(m, b);
+  const int nt = TiledMatrix::tile_count(n, b);
+  EliminationList list = hqr_elimination_list(mt, nt, cfg);
+  check_valid(list, mt, nt);
   std::cout << "algorithm: " << cfg.describe() << "\n"
-            << "matrix: " << m << " x " << n << " elements, " << probe.mt()
-            << " x " << probe.nt() << " tiles of " << b << "\n"
+            << "matrix: " << m << " x " << n << " elements, " << mt
+            << " x " << nt << " tiles of " << b << "\n"
             << "eliminations: " << list.size() << "\n";
 
   // 3. Factor with the parallel runtime. The graph is built here (rather
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
   opts.trace = obs.trace();
   opts.metrics = obs.metrics();
   TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
-  KernelList kernels = expand_to_kernels(list, probe.mt(), probe.nt());
-  TaskGraph graph(kernels, probe.mt(), probe.nt());
+  KernelList kernels = expand_to_kernels(list, mt, nt);
+  TaskGraph graph(kernels, mt, nt);
   QRFactors f(std::move(tiled), std::move(kernels), opts.ib);
   Stopwatch sw;
   RunStats stats = execute_parallel(f, graph, opts);

@@ -119,17 +119,23 @@ void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
                           TiledMatrix& c, TileWorkspace& ws) {
   const TiledMatrix& a = f.a();
   const int ib = f.ib();
+  // Q and Q^T map zero columns to zero, so the kernels see only the tile
+  // column's real columns (b x w views): C's padding is never touched.
+  const int w = std::min(c.b(), c.n() - op.j * c.b());
+  const auto ct = [&](int ti) {
+    return c.tile(ti, op.j).block(0, 0, c.b(), w);
+  };
   switch (op.type) {
     case KernelType::UNMQR:
       unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, trans,
-               c.tile(op.row, op.j), ws);
+               ct(op.row), ws);
       break;
     case KernelType::TSMQR:
-      tsmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
+      tsmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
                f.t_pencil(op.row, op.k), ib, trans, ws);
       break;
     case KernelType::TTMQR:
-      ttmqr_ib(c.tile(op.piv, op.j), c.tile(op.row, op.j), a.tile(op.row, op.k),
+      ttmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
                f.t_pencil(op.row, op.k), ib, trans, ws);
       break;
     default:
@@ -159,12 +165,7 @@ void apply_q(const QRFactors& f, Trans trans, TiledMatrix& c) {
 }
 
 Matrix extract_r(const QRFactors& f) {
-  const int n = f.n();
-  const int k = std::min(f.m(), n);
-  Matrix r(k, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = f.a().at(i, j);
-  return r;
+  return f.a().upper_trapezoid(std::min(f.m(), f.n()), f.n());
 }
 
 Matrix tile_least_squares(const Matrix& a, const Matrix& b, int tile_size,

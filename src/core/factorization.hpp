@@ -70,6 +70,8 @@ Matrix build_q(const QRFactors& f);
 
 // Applies Q (trans = No) or Q^T (trans = Yes) to the tiled matrix c in
 // place; c must have the same tile rows and tile size as the factorization.
+// Only c's n() real columns take part: columns at or past c.n() are neither
+// read nor written.
 void apply_q(const QRFactors& f, Trans trans, TiledMatrix& c);
 
 // The ordered update-kernel list realizing a Q (trans = No) or Q^T
@@ -82,7 +84,9 @@ void apply_q(const QRFactors& f, Trans trans, TiledMatrix& c);
 KernelList q_apply_ops(const QRFactors& f, Trans trans, int nt_c,
                        bool economy = false);
 
-// Executes one op of a Q application against c.
+// Executes one op of a Q application against c. The kernels get b x w
+// views of c's tile column op.j, w = min(b, c.n() - op.j * b): columns at or
+// past c.n() are neither read nor written (Q maps zero columns to zero).
 void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
                           TiledMatrix& c, TileWorkspace& ws);
 

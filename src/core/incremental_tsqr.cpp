@@ -10,7 +10,7 @@ namespace {
 
 int checked_nt(int n, int b) {
   HQR_CHECK(n >= 1 && b >= 1, "bad TSQR shape n=" << n << " b=" << b);
-  return (n + b - 1) / b;
+  return TiledMatrix::tile_count(n, b);
 }
 
 }  // namespace
@@ -50,13 +50,8 @@ void IncrementalTSQR::add_rows(const Matrix& block) {
 }
 
 Matrix IncrementalTSQR::r() const {
-  const int k =
-      static_cast<int>(std::min<long long>(rows_seen_, n_));
-  Matrix out(k, n_);
-  for (int j = 0; j < n_; ++j)
-    for (int i = 0; i <= std::min(j, k - 1); ++i)
-      out(i, j) = r_tiles_.at(i, j);
-  return out;
+  const int k = static_cast<int>(std::min<long long>(rows_seen_, n_));
+  return r_tiles_.upper_trapezoid(k, n_);
 }
 
 }  // namespace hqr

@@ -21,7 +21,12 @@ class TiledMatrix {
   // Zero-initialized M x N element matrix with b x b tiles.
   TiledMatrix(int m, int n, int b);
 
-  // Tiles an existing dense matrix.
+  // Tiles covering `extent` elements: ceil(extent / b). The one rule for
+  // mt and nt, so callers can size the tile grid without tiling anything.
+  static int tile_count(int extent, int b);
+
+  // Tiles an existing dense matrix. Conversions into and out of the tile
+  // layout copy each tile's column segments: one pass over memory.
   static TiledMatrix from_matrix(const Matrix& a, int b);
 
   // Reassembles the dense M x N matrix (padding dropped).
@@ -45,6 +50,11 @@ class TiledMatrix {
   // that operate on the padded system the kernels actually factor.
   Matrix to_padded_matrix() const;
 
+  // The k x n upper trapezoid of the element matrix (entries (i, j) with
+  // i <= j and i < k; zero below), with k <= m() and n <= n(). The readout
+  // of an R factor held in the leading tiles.
+  Matrix upper_trapezoid(int k, int n) const;
+
   // Element access through the tile layout (i, j in element coordinates,
   // must be within the padded dimensions).
   double at(int i, int j) const;
@@ -52,6 +62,8 @@ class TiledMatrix {
 
  private:
   std::size_t tile_offset(int ti, int tj) const;
+  // The leading m x n elements (padding included where m, n reach it).
+  Matrix leading_block(int m, int n) const;
 
   int m_ = 0, n_ = 0, b_ = 1, mt_ = 0, nt_ = 0;
   std::vector<double> data_;

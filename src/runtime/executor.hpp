@@ -183,6 +183,7 @@ Matrix build_q_parallel(const QRFactors& f, const ExecutorOptions& opts,
 
 // Parallel Q / Q^T application (dormqr analogue) to a tiled matrix in
 // place; c must share tile rows and tile size with the factorization.
+// Columns at or past c.n() are neither read nor written.
 void apply_q_parallel(const QRFactors& f, Trans trans, TiledMatrix& c,
                       const ExecutorOptions& opts, RunStats* stats = nullptr);
 

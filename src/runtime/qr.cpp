@@ -1,6 +1,7 @@
 #include "runtime/qr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "runtime/executor.hpp"
 #include "trees/validate.hpp"
@@ -17,8 +18,8 @@ QROptions default_qr_options(int m, int n, int threads) {
   o.b = std::min({o.b, std::max(1, m), std::max(1, n) * 4});
   o.ib = std::max(1, o.b / 4);
 
-  const int mt = (m + o.b - 1) / o.b;
-  const int nt = (n + o.b - 1) / o.b;
+  const int mt = TiledMatrix::tile_count(m, o.b);
+  const int nt = TiledMatrix::tile_count(n, o.b);
   // Virtual clusters: one per worker caps inter-"cluster" reductions at the
   // parallelism we actually have; domains once each cluster has >= 4 rows.
   o.tree.p = std::clamp(o.threads, 1, std::max(1, mt / 2));
@@ -52,9 +53,10 @@ QRResult qr(const Matrix& a, const QROptions& opts_in) {
   HQR_CHECK(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
   const QROptions o = resolve_options(a, opts_in);
 
-  TiledMatrix probe = TiledMatrix::from_matrix(a, o.b);
-  EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), o.tree);
-  HQR_ASSERT(validate_elimination_list(list, probe.mt(), probe.nt()).ok,
+  const int mt = TiledMatrix::tile_count(a.rows(), o.b);
+  const int nt = TiledMatrix::tile_count(a.cols(), o.b);
+  EliminationList list = hqr_elimination_list(mt, nt, o.tree);
+  HQR_ASSERT(validate_elimination_list(list, mt, nt).ok,
              "generator produced an invalid list");
 
   ExecutorOptions exec;
@@ -65,7 +67,11 @@ QRResult qr(const Matrix& a, const QROptions& opts_in) {
   QRResult out;
   Matrix q_padded = build_q_parallel(f, exec);
   const int k = std::min(a.rows(), a.cols());
-  out.q = materialize(q_padded.block(0, 0, a.rows(), k));
+  // Q comes padded to whole tiles; slice only when there is padding.
+  if (q_padded.rows() == a.rows() && q_padded.cols() == k)
+    out.q = std::move(q_padded);
+  else
+    out.q = materialize(q_padded.block(0, 0, a.rows(), k));
   out.r = extract_r(f);
   out.tree = o.tree;
   out.b = o.b;
@@ -78,8 +84,9 @@ Matrix qr_solve(const Matrix& a, const Matrix& rhs, const QROptions& opts_in) {
   HQR_CHECK(rhs.rows() == a.rows(), "rhs row mismatch");
   const QROptions o = resolve_options(a, opts_in);
 
-  TiledMatrix probe = TiledMatrix::from_matrix(a, o.b);
-  EliminationList list = hqr_elimination_list(probe.mt(), probe.nt(), o.tree);
+  EliminationList list =
+      hqr_elimination_list(TiledMatrix::tile_count(a.rows(), o.b),
+                           TiledMatrix::tile_count(a.cols(), o.b), o.tree);
   ExecutorOptions exec;
   exec.threads = o.threads;
   exec.ib = o.ib;

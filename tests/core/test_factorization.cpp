@@ -96,6 +96,33 @@ TEST(Factorization, RMatchesReferenceUpToSigns) {
           << "(" << i << "," << j << ")";
 }
 
+// extract_r reads the factored tiles: R(i, j) == a().at(i, j) bit for bit
+// for i <= j and i < min(m, n), zero below the diagonal.
+class RReadout : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RReadout, ExtractRIsTheTilesUpperTrapezoid) {
+  auto [m, n] = GetParam();
+  const int b = 8;
+  Rng rng(static_cast<std::uint64_t>(m) * 17 + n);
+  const QRFactors f = qr_factorize_sequential(
+      random_gaussian(m, n, rng), b,
+      make_list("hqr", TiledMatrix::tile_count(m, b),
+                TiledMatrix::tile_count(n, b)));
+  const Matrix r = extract_r(f);
+  const int k = std::min(m, n);
+  ASSERT_EQ(r.rows(), k);
+  ASSERT_EQ(r.cols(), n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < k; ++i)
+      EXPECT_EQ(r(i, j), i <= j ? f.a().at(i, j) : 0.0)
+          << "(" << i << "," << j << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, RReadout,
+                         ::testing::Values(std::tuple{53, 37},
+                                           std::tuple{37, 53},
+                                           std::tuple{5, 3}));
+
 TEST(Factorization, ApplyQTransposeGivesR) {
   Rng rng(7);
   Matrix a0 = random_gaussian(16, 8, rng);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.hpp"
+#include "kernels/ib_kernels.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/ref_qr.hpp"
@@ -71,6 +73,49 @@ TEST(IncrementalTsqr, FrobeniusNormPreserved) {
   Matrix r = tsqr.r();
   EXPECT_NEAR(frobenius_norm(r.view()), std::sqrt(ssq), 1e-9);
 }
+
+// r() reads the running triangle: R(i, j) equals its element (i, j) bit for
+// bit for i <= j and i < min(rows, n), zero below. The triangle is private,
+// so the reduction of one block is replayed here with the public kernels,
+// as add_rows runs it: the running R (zero at first) kills tile (i, k) of
+// the block, then both rows' trailing tiles are updated.
+class TsqrReadout : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(TsqrReadout, RIsTheRunningTrianglesUpperTrapezoid) {
+  auto [m, n] = GetParam();
+  const int b = 8, ib = default_ib(b);
+  Rng rng(static_cast<std::uint64_t>(m) * 19 + n);
+  const Matrix block = random_gaussian(m, n, rng);
+  IncrementalTSQR tsqr(n, b);
+  tsqr.add_rows(block);
+
+  const int nt = TiledMatrix::tile_count(n, b);
+  TiledMatrix tri(nt * b, n, b);
+  TiledMatrix in = TiledMatrix::from_matrix(block, b);
+  Matrix t(ib, b);
+  TileWorkspace ws(b);
+  for (int k = 0; k < nt; ++k)
+    for (int i = 0; i < in.mt(); ++i) {
+      tsqrt_ib(tri.tile(k, k), in.tile(i, k), t.view(), ib, ws);
+      for (int j = k + 1; j < nt; ++j)
+        tsmqr_ib(tri.tile(k, j), in.tile(i, j), in.tile(i, k), t.view(), ib,
+                 Trans::Yes, ws);
+    }
+
+  const Matrix r = tsqr.r();
+  const int k = std::min(m, n);
+  ASSERT_EQ(r.rows(), k);
+  ASSERT_EQ(r.cols(), n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < k; ++i)
+      EXPECT_EQ(r(i, j), i <= j ? tri.at(i, j) : 0.0)
+          << "(" << i << "," << j << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TsqrReadout,
+                         ::testing::Values(std::tuple{53, 37},
+                                           std::tuple{37, 53},
+                                           std::tuple{5, 3}));
 
 TEST(IncrementalTsqr, FewerRowsThanColumnsGivesTrapezoid) {
   Rng rng(4);

@@ -42,7 +42,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{5, 3, 2}, std::tuple{3, 5, 2},
                       std::tuple{7, 7, 3}, std::tuple{12, 8, 4},
                       std::tuple{9, 13, 5}, std::tuple{16, 16, 16},
-                      std::tuple{10, 10, 32}));
+                      std::tuple{10, 10, 32}, std::tuple{3, 11, 5}));
 
 TEST(TiledMatrix, TileCountsCeil) {
   TiledMatrix t(10, 7, 4);

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
 #include "runtime/executor.hpp"
@@ -17,10 +18,11 @@ namespace hqr {
 namespace {
 
 QRFactors make_factors(const Matrix& a0, int b) {
-  TiledMatrix probe = TiledMatrix::from_matrix(a0, b);
   HqrConfig cfg{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
   return qr_factorize_sequential(
-      a0, b, hqr_elimination_list(probe.mt(), probe.nt(), cfg));
+      a0, b,
+      hqr_elimination_list(TiledMatrix::tile_count(a0.rows(), b),
+                           TiledMatrix::tile_count(a0.cols(), b), cfg));
 }
 
 class ParallelQ : public ::testing::TestWithParam<int> {};
@@ -57,6 +59,49 @@ TEST_P(ParallelQ, ApplyQMatchesSequentialBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelQ, ::testing::Values(1, 2, 4, 8));
+
+// C widths that are not tile multiples: the kernels run on C's real
+// columns only, so a value planted in a padding column survives both
+// drivers unchanged while the real columns still get op(Q) C.
+class ParallelQNarrow : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelQNarrow, AppliesToRealColumnsOnly) {
+  const int nc = GetParam();
+  const int b = 8;
+  Rng rng(50 + nc);
+  // Wide, so build_q yields the whole padded_m x padded_m orthogonal Q.
+  QRFactors f = make_factors(random_gaussian(30, 37, rng), b);
+  const Matrix q = build_q(f);
+  ASSERT_EQ(q.rows(), q.cols());
+  const Matrix c0 = random_gaussian(30, nc, rng);
+  const Matrix c0_padded = TiledMatrix::from_matrix(c0, b).to_padded_matrix();
+  constexpr double kSentinel = 7.25;
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    TiledMatrix c_seq = TiledMatrix::from_matrix(c0, b);
+    TiledMatrix c_par = TiledMatrix::from_matrix(c0, b);
+    for (TiledMatrix* c : {&c_seq, &c_par}) {
+      c->set(1, nc, kSentinel);
+      c->set(c->padded_m() - 1, c->padded_n() - 1, kSentinel);
+    }
+    apply_q(f, trans, c_seq);
+    apply_q_parallel(f, trans, c_par, ExecutorOptions{4, true, true});
+    const Matrix ms = c_seq.to_padded_matrix();
+    const Matrix mp = c_par.to_padded_matrix();
+    EXPECT_EQ(max_abs_diff(ms.view(), mp.view()), 0.0);
+
+    Matrix want(q.rows(), nc);
+    gemm(trans, Trans::No, 1.0, q.view(), c0_padded.block(0, 0, q.rows(), nc),
+         0.0, want.view());
+    EXPECT_LT(max_abs_diff(ms.block(0, 0, q.rows(), nc), want.view()), 1e-12);
+
+    for (const Matrix* out : {&ms, &mp}) {
+      EXPECT_EQ((*out)(1, nc), kSentinel);
+      EXPECT_EQ((*out)(out->rows() - 1, out->cols() - 1), kSentinel);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ParallelQNarrow, ::testing::Values(3, 11));
 
 TEST(ParallelQ, RoundTripThroughRuntime) {
   Rng rng(41);

@@ -96,17 +96,35 @@ TEST(QrApi, DefaultOptionsHeuristics) {
   EXPECT_LE(ts.ib, ts.b);
 }
 
-TEST(QrApi, SolveMatchesReference) {
+// Right-hand side widths around the tile size: with nrhs not a multiple of
+// b, Q^T runs on narrow views of C's last tile column.
+constexpr int kSolveB = 8;
+
+class QrApiSolve : public ::testing::TestWithParam<int> {};
+
+TEST_P(QrApiSolve, SolveMatchesReference) {
+  const int nrhs = GetParam();
   Rng rng(7);
   const int m = 150, n = 20;
   Matrix a = random_gaussian(m, n, rng);
-  Matrix rhs = random_gaussian(m, 3, rng);
+  Matrix rhs = random_gaussian(m, nrhs, rng);
   QROptions o;
+  o.b = kSolveB;
+  o.ib = 4;
+  o.auto_tree = false;
+  o.tree = HqrConfig{4, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
   o.threads = 4;
   Matrix x = qr_solve(a, rhs, o);
   Matrix x_ref = least_squares(a, rhs);
   EXPECT_LT(max_abs_diff(x.view(), x_ref.view()), 1e-9);
+  // The apply DAG chains every C tile, so any schedule gives the same bits.
+  o.threads = 1;
+  Matrix x1 = qr_solve(a, rhs, o);
+  EXPECT_EQ(max_abs_diff(x.view(), x1.view()), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Nrhs, QrApiSolve,
+                         ::testing::Values(1, 3, kSolveB + 3));
 
 TEST(QrApi, SolveRecoversPlantedSolution) {
   Rng rng(8);

@@ -18,6 +18,20 @@ int check_panels(int b, int ib, ConstMatrixView t) {
   return (b + ib - 1) / ib;
 }
 
+// Applies reflector j of a TSQRT/TTQRT panel, H = I - tau [1; v] [1; v]^T
+// with v = A2(0:rows, j), to the pencil [A1(j, jj); A2(0:rows, jj)] of the
+// panel's later columns jj = j + 1 .. end - 1.
+void panel_update(MatrixView a1, MatrixView a2, int j, int end, int rows,
+                  double tau) {
+  const double* vj = a2.col(j).data;
+  for (int jj = j + 1; jj < end; ++jj) {
+    double* cj = a2.col(jj).data;
+    const double s = tau * (a1(j, jj) + dot(rows, vj, cj));
+    a1(j, jj) -= s;
+    for (int i = 0; i < rows; ++i) cj[i] -= s * vj[i];
+  }
+}
+
 }  // namespace
 
 void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
@@ -49,7 +63,7 @@ void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
       MatrixView c = a.block(j0, j0 + w, b - j0, trailing);
-      larfb_left(Trans::Yes, v, tp, c, ws.w1(), &ws.gemm_ws());
+      larfb_left(Trans::Yes, v, tp, c, ws.scratch(), ws.gemm_ws());
     }
   }
 }
@@ -68,7 +82,7 @@ void unmqr_ib(ConstMatrixView v, ConstMatrixView t, int ib, Trans trans,
     ConstMatrixView vp = v.block(j0, j0, b - j0, w);
     ConstMatrixView tp = t.block(0, j0, w, w);
     MatrixView cc = c.block(j0, 0, b - j0, c.cols);
-    larfb_left(trans, vp, tp, cc, ws.w1(), &ws.gemm_ws());
+    larfb_left(trans, vp, tp, cc, ws.scratch(), ws.gemm_ws());
   }
 }
 
@@ -89,25 +103,15 @@ void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
       MatrixView v2j = a2.col(j);
       const double tau = larfg(b + 1, alpha, v2j);
       a1(j, j) = alpha;
-      if (tau != 0.0) {
-        for (int jj = j + 1; jj < j0 + w; ++jj) {
-          double s = a1(j, jj);
-          for (int i = 0; i < b; ++i) s += a2(i, j) * a2(i, jj);
-          s *= tau;
-          a1(j, jj) -= s;
-          for (int i = 0; i < b; ++i) a2(i, jj) -= s * a2(i, j);
-        }
-      }
+      if (tau != 0.0) panel_update(a1, a2, j, j0 + w, b, tau);
       // T column l within the panel.
-      for (int i = 0; i < l; ++i) {
-        double s = 0.0;
-        for (int r = 0; r < b; ++r) s += a2(r, j0 + i) * a2(r, j);
-        tp(i, l) = -tau * s;
-      }
+      for (int i = 0; i < l; ++i)
+        tp(i, l) = -tau * dot(b, a2.col(j0 + i).data, a2.col(j).data);
       if (l > 0) {
         MatrixView tl = tp.block(0, l, l, 1);
         trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
-                  ConstMatrixView(tp.data, l, l, tp.ld), tl);
+                  ConstMatrixView(tp.data, l, l, tp.ld), tl, ws.scratch(),
+                  ws.gemm_ws());
       }
       tp(l, l) = tau;
     }
@@ -118,10 +122,12 @@ void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
       ConstMatrixView v2p = a2.block(0, j0, b, w);
       MatrixView c1p = a1.block(j0, j0 + w, w, trailing);
       MatrixView c2p = a2.block(0, j0 + w, b, trailing);
-      MatrixView wk = ws.w1().block(0, 0, w, trailing);
+      std::span<double> scratch = ws.scratch();
+      MatrixView wk = carve(scratch, w, trailing);
       copy(c1p, wk);
       gemm(Trans::Yes, Trans::No, 1.0, v2p, c2p, 1.0, wk, ws.gemm_ws());
-      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk);
+      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk, scratch,
+                ws.gemm_ws());
       axpy(-1.0, wk, c1p);
       gemm(Trans::No, Trans::No, -1.0, v2p, wk, 1.0, c2p, ws.gemm_ws());
     }
@@ -141,10 +147,12 @@ void tsmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
     ConstMatrixView v2p = v2.block(0, j0, b, w);
     ConstMatrixView tp = t.block(0, j0, w, w);
     MatrixView c1p = c1.block(j0, 0, w, c1.cols);
-    MatrixView wk = ws.w1().block(0, 0, w, c1.cols);
+    std::span<double> scratch = ws.scratch();
+    MatrixView wk = carve(scratch, w, c1.cols);
     copy(c1p, wk);
     gemm(Trans::Yes, Trans::No, 1.0, v2p, c2, 1.0, wk, ws.gemm_ws());
-    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk);
+    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk, scratch,
+              ws.gemm_ws());
     axpy(-1.0, wk, c1p);
     gemm(Trans::No, Trans::No, -1.0, v2p, wk, 1.0, c2, ws.gemm_ws());
   }
@@ -178,38 +186,31 @@ void ttqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
       MatrixView v2j = a2.block(0, j, j + 1, 1);
       const double tau = larfg(j + 2, alpha, v2j);
       a1(j, j) = alpha;
-      if (tau != 0.0) {
-        for (int jj = j + 1; jj < j0 + w; ++jj) {
-          double s = a1(j, jj);
-          for (int r = 0; r <= j; ++r) s += a2(r, j) * a2(r, jj);
-          s *= tau;
-          a1(j, jj) -= s;
-          for (int r = 0; r <= j; ++r) a2(r, jj) -= s * a2(r, j);
-        }
-      }
-      for (int i = 0; i < l; ++i) {
-        double s = 0.0;
-        for (int r = 0; r <= j0 + i; ++r) s += a2(r, j0 + i) * a2(r, j);
-        tp(i, l) = -tau * s;
-      }
+      if (tau != 0.0) panel_update(a1, a2, j, j0 + w, j + 1, tau);
+      for (int i = 0; i < l; ++i)
+        tp(i, l) =
+            -tau * dot(j0 + i + 1, a2.col(j0 + i).data, a2.col(j).data);
       if (l > 0) {
         MatrixView tl = tp.block(0, l, l, 1);
         trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
-                  ConstMatrixView(tp.data, l, l, tp.ld), tl);
+                  ConstMatrixView(tp.data, l, l, tp.ld), tl, ws.scratch(),
+                  ws.gemm_ws());
       }
       tp(l, l) = tau;
     }
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
       const int rows = j0 + w;  // V2 panel support
-      MatrixView wp = ws.w2().block(0, 0, rows, w);
+      std::span<double> scratch = ws.scratch();
+      MatrixView wp = carve(scratch, rows, w);
       load_tt_panel(a2, j0, w, wp);
       MatrixView c1p = a1.block(j0, j0 + w, w, trailing);
       MatrixView c2p = a2.block(0, j0 + w, rows, trailing);
-      MatrixView wk = ws.w1().block(0, 0, w, trailing);
+      MatrixView wk = carve(scratch, w, trailing);
       copy(c1p, wk);
       gemm(Trans::Yes, Trans::No, 1.0, wp, c2p, 1.0, wk, ws.gemm_ws());
-      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk);
+      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk, scratch,
+                ws.gemm_ws());
       axpy(-1.0, wk, c1p);
       gemm(Trans::No, Trans::No, -1.0, wp, wk, 1.0, c2p, ws.gemm_ws());
     }
@@ -227,15 +228,17 @@ void ttmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
     const int j0 = p * ib;
     const int w = std::min(ib, b - j0);
     const int rows = j0 + w;
-    MatrixView wp = ws.w2().block(0, 0, rows, w);
+    std::span<double> scratch = ws.scratch();
+    MatrixView wp = carve(scratch, rows, w);
     load_tt_panel(v2, j0, w, wp);
     ConstMatrixView tp = t.block(0, j0, w, w);
     MatrixView c1p = c1.block(j0, 0, w, c1.cols);
     MatrixView c2p = c2.block(0, 0, rows, c2.cols);
-    MatrixView wk = ws.w1().block(0, 0, w, c1.cols);
+    MatrixView wk = carve(scratch, w, c1.cols);
     copy(c1p, wk);
     gemm(Trans::Yes, Trans::No, 1.0, wp, c2p, 1.0, wk, ws.gemm_ws());
-    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk);
+    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk, scratch,
+              ws.gemm_ws());
     axpy(-1.0, wk, c1p);
     gemm(Trans::No, Trans::No, -1.0, wp, wk, 1.0, c2p, ws.gemm_ws());
   }

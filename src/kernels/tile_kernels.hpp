@@ -21,7 +21,11 @@
 // an ib x b T per tile) live in kernels/ib_kernels.hpp.
 #pragma once
 
+#include <memory>
+#include <span>
+
 #include "linalg/blas.hpp"
+#include "linalg/householder.hpp"
 #include "linalg/kernel_tuning.hpp"
 #include "linalg/matrix.hpp"
 
@@ -32,8 +36,10 @@ namespace hqr {
 // b x b products, so every task the worker runs reuses the same memory.
 class TileWorkspace {
  public:
-  explicit TileWorkspace(int b) : b_(b), w1_(b, b), w2_(b, b), vec_(b, 1) {
+  explicit TileWorkspace(int b)
+      : b_(b), vec_(b, 1), scratch_size_(larfb_scratch_doubles(b, b, b)) {
     HQR_CHECK(b >= 1, "tile size must be >= 1");
+    scratch_ = std::make_unique_for_overwrite<double[]>(scratch_size_);
     // First workspace in the process pulls in the per-host tuning cache
     // (kernel shape, blocking) before sizing pack buffers.
     ensure_tuning_applied();
@@ -41,14 +47,21 @@ class TileWorkspace {
   }
 
   int b() const { return b_; }
-  MatrixView w1() { return w1_.view(); }
-  MatrixView w2() { return w2_.view(); }
   MatrixView vec() { return vec_.view(); }
+  // The kernels' compact copies, carved off the front in turn: the
+  // W = V^T C product, a V panel (larfb_left's unit-lower copy, TTQRT/
+  // TTMQR's zero-padded V2 panel) and trmm_left's dense triangle and
+  // right-hand side. Each is at most b x b, larfb_scratch_doubles(b, b, b)
+  // = 4 b^2 entries in all. Left uninitialized: every use writes before it
+  // reads, and pages no kernel reaches need not become resident.
+  std::span<double> scratch() { return {scratch_.get(), scratch_size_}; }
   GemmWorkspace& gemm_ws() { return gemm_; }
 
  private:
   int b_;
-  Matrix w1_, w2_, vec_;
+  Matrix vec_;
+  std::size_t scratch_size_;
+  std::unique_ptr<double[]> scratch_;
   GemmWorkspace gemm_;
 };
 

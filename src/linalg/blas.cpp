@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/gemm.hpp"
 
@@ -14,53 +15,59 @@ namespace {
 #define HQR_RESTRICT
 #endif
 
-// Triangular-block size for the blocked trmm path: diagonal blocks stay on
-// the scalar loops, everything off-diagonal routes through gemm.
-constexpr int kTrmmBlock = 64;
-
 void trmm_left_small(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
                      MatrixView b);
 
-// Blocked in-place B = op(A) B with triangular A: partition A into
-// kTrmmBlock panels; each row-block of B becomes one small diagonal trmm
-// plus one gemm against the strictly-triangular remainder. The visitation
-// order (ascending/descending) is chosen so each row-block of B is
-// finalized before any block it depends on is overwritten.
-void trmm_left_blocked(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
-                       MatrixView b) {
-  const int n = a.rows;
-  const int nb = (n + kTrmmBlock - 1) / kTrmmBlock;
-  const bool ascending = (uplo == UpLo::Upper) == (ta == Trans::No);
-  for (int s = 0; s < nb; ++s) {
-    const int bi = ascending ? s : nb - 1 - s;
-    const int i0 = bi * kTrmmBlock;
-    const int ni = std::min(kTrmmBlock, n - i0);
-    MatrixView bi_block{b.data + i0, ni, b.cols, b.ld};
-    // Off-diagonal contribution first uses only not-yet-visited row blocks
-    // of B, but the diagonal trmm must also read the original B(i0:i0+ni);
-    // run the in-place trmm first, then accumulate the gemm.
-    ConstMatrixView aii{a.data + static_cast<std::size_t>(i0) * a.ld + i0, ni,
-                        ni, a.ld};
-    trmm_left_small(uplo, ta, diag, aii, bi_block);
-    // The strictly off-diagonal part of row-block bi of op(A): columns
-    // j0 < i0 contribute for effective-lower, j0 > i0 for effective-upper.
-    const int j0 = ascending ? i0 + ni : 0;
-    const int nj = ascending ? n - j0 : i0;
-    if (nj == 0) continue;
-    const ConstMatrixView arect =
-        ta == Trans::No
-            ? ConstMatrixView{a.data + static_cast<std::size_t>(j0) * a.ld +
-                                  i0,
-                              ni, nj, a.ld}
-            : ConstMatrixView{a.data + static_cast<std::size_t>(i0) * a.ld +
-                                  j0,
-                              nj, ni, a.ld};
-    ConstMatrixView brect{b.data + j0, nj, b.cols, b.ld};
-    gemm(ta, Trans::No, 1.0, arect, brect, 1.0, bi_block);
-  }
+// trmm_left's path rule (blas.hpp): dense through the packed GEMM, or the
+// scalar loops.
+bool trmm_packs(ConstMatrixView a, ConstMatrixView b) {
+  HQR_CHECK(a.cols == a.rows, "trmm expects square triangular A");
+  HQR_CHECK(b.rows == a.rows, "trmm shape mismatch");
+  return gemm_backend() == GemmBackend::Packed &&
+         gemm_packs(a.rows, b.cols, a.rows);
 }
 
 }  // namespace
+
+void copy_triangle(UpLo uplo, Diag diag, ConstMatrixView a, MatrixView d) {
+  const int m = a.rows;
+  HQR_CHECK(m >= a.cols && d.rows == m && d.cols == a.cols,
+            "copy_triangle shape mismatch");
+  for (int j = 0; j < a.cols; ++j) {
+    const double* HQR_RESTRICT aj = a.data + static_cast<std::size_t>(j) * a.ld;
+    double* HQR_RESTRICT dj = d.data + static_cast<std::size_t>(j) * d.ld;
+    if (uplo == UpLo::Upper) {
+      for (int i = 0; i < j; ++i) dj[i] = aj[i];
+      for (int i = j + 1; i < m; ++i) dj[i] = 0.0;
+    } else {
+      for (int i = 0; i < j; ++i) dj[i] = 0.0;
+      for (int i = j + 1; i < m; ++i) dj[i] = aj[i];
+    }
+    dj[j] = diag == Diag::Unit ? 1.0 : aj[j];
+  }
+}
+
+double dot(int n, const double* x, const double* y) {
+  double s[8] = {};
+  int i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
+  // The tail by hand: as a loop, GCC vectorizes it behind shape checks that
+  // cost more than the few products, which shows on b = 8 tiles.
+  x += i;
+  y += i;
+  switch (n - i) {
+    case 7: s[6] += x[6] * y[6]; [[fallthrough]];
+    case 6: s[5] += x[5] * y[5]; [[fallthrough]];
+    case 5: s[4] += x[4] * y[4]; [[fallthrough]];
+    case 4: s[3] += x[3] * y[3]; [[fallthrough]];
+    case 3: s[2] += x[2] * y[2]; [[fallthrough]];
+    case 2: s[1] += x[1] * y[1]; [[fallthrough]];
+    case 1: s[0] += x[0] * y[0]; [[fallthrough]];
+    default: break;
+  }
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
 
 void gemv(Trans ta, double alpha, ConstMatrixView a, ConstMatrixView x,
           double beta, MatrixView y) {
@@ -103,10 +110,8 @@ void gemv(Trans ta, double alpha, ConstMatrixView a, ConstMatrixView x,
   } else {
     // y(j) = beta*y(j) + alpha * dot(A(:, j), x): contiguous column dots.
     for (int j = 0; j < m; ++j) {
-      const double* HQR_RESTRICT aj =
-          a.data + static_cast<std::size_t>(j) * a.ld;
-      double s = 0.0;
-      for (int l = 0; l < k; ++l) s += aj[l] * xv[l];
+      const double s =
+          dot(k, a.data + static_cast<std::size_t>(j) * a.ld, xv);
       const double base = beta == 0.0 ? 0.0 : beta * yv[j];
       yv[j] = base + alpha * s;
     }
@@ -126,26 +131,39 @@ void ger(double alpha, ConstMatrixView x, ConstMatrixView y, MatrixView a) {
   }
 }
 
-// Both triangular routines resolve (uplo, trans) into one of four
-// column-major loops up front: the trans cases become contiguous column
-// dots, the no-trans cases contiguous column axpy updates. No per-element
-// transpose branch (op_at) in any inner loop.
-void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b) {
-  HQR_CHECK(a.cols == a.rows, "trmm expects square triangular A");
-  HQR_CHECK(b.rows == a.rows, "trmm shape mismatch");
-  // Large triangles on the packed backend go through the blocked path so
-  // the bulk of the flops lands in the SIMD gemm core. The naive backend
-  // keeps the scalar loops — it is the reference oracle.
-  if (gemm_backend() == GemmBackend::Packed && a.rows > 2 * kTrmmBlock &&
-      b.cols >= 8) {
-    trmm_left_blocked(uplo, ta, diag, a, b);
+void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b,
+               std::span<double> scratch, GemmWorkspace& ws) {
+  if (!trmm_packs(a, b)) {
+    trmm_left_small(uplo, ta, diag, a, b);
     return;
   }
+  const int k = a.rows;
+  MatrixView tri = carve(scratch, k, k);
+  MatrixView bc = carve(scratch, k, b.cols);
+  copy_triangle(uplo, diag, a, tri);
+  copy(b, bc);
+  gemm(ta, Trans::No, 1.0, tri, bc, 0.0, b, ws);
+}
+
+void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
+               MatrixView b) {
+  HQR_CHECK(!trmm_packs(a, b),
+            "trmm_left of a " << a.rows << " x " << a.rows << " triangle and "
+                              << b.cols
+                              << " columns takes the dense path: pass scratch");
   trmm_left_small(uplo, ta, diag, a, b);
+}
+
+std::size_t trmm_scratch_doubles(int k, int n) {
+  return static_cast<std::size_t>(k) * (static_cast<std::size_t>(k) + n);
 }
 
 namespace {
 
+// Both triangular loops (trmm_left's scalar path, trsm_left) resolve
+// (uplo, trans) into one of four column-major loops up front: the trans
+// cases become contiguous column dots, the no-trans cases contiguous column
+// axpy updates. No per-element transpose branch (op_at) in any inner loop.
 void trmm_left_small(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
                      MatrixView b) {
   const int n = a.rows;
@@ -248,7 +266,11 @@ void trsm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b) 
 
 double nrm2(ConstMatrixView x) {
   HQR_CHECK(x.cols == 1, "nrm2 expects a vector");
-  // Two-pass scaled norm for overflow safety, as dlassq would do.
+  // Fast path; the header gives the range and why it suffices.
+  const double ss = dot(x.rows, x.data, x.data);
+  if (ss >= 0x1p-991 && ss <= std::numeric_limits<double>::max())
+    return std::sqrt(ss);
+  // Scaled one-pass norm for overflow safety, as dlassq would do.
   double scale = 0.0;
   double ssq = 1.0;
   for (int i = 0; i < x.rows; ++i) {
@@ -267,9 +289,7 @@ double nrm2(ConstMatrixView x) {
 double dot(ConstMatrixView x, ConstMatrixView y) {
   HQR_CHECK(x.cols == 1 && y.cols == 1 && x.rows == y.rows,
             "dot shape mismatch");
-  double s = 0.0;
-  for (int i = 0; i < x.rows; ++i) s += x(i, 0) * y(i, 0);
-  return s;
+  return dot(x.rows, x.data, y.data);
 }
 
 void scal(double alpha, MatrixView x) {

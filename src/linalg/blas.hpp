@@ -7,15 +7,27 @@
 // column-major memory with no per-element branches.
 #pragma once
 
+#include <span>
+
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 
 namespace hqr {
 
+// Dot product of x(0:n) and y(0:n) in a fixed order: element i goes to
+// partial sum i mod 8, and the eight partial sums combine pairwise,
+// ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)). Eight independent
+// chains vectorize without -ffast-math, and the order depends only on n, so
+// every thread, rank and micro-kernel ISA gets the same bits. Every dot in
+// the panel kernels, larft_column and gemv goes through it.
+double dot(int n, const double* x, const double* y);
+
 // y = alpha * op(A) * x + beta * y   (x, y are n x 1 views). Dedicated
 // fused-column implementation (does not route through gemm): the No-trans
 // path accumulates four columns of A per sweep of y, the trans path is one
-// contiguous dot per column. Used by the Householder kernels.
+// fixed-order dot (above) per column. Both orders depend only on the
+// shapes, so every thread, rank and micro-kernel ISA gets the same bits.
+// Used by the Householder kernels.
 void gemv(Trans ta, double alpha, ConstMatrixView a, ConstMatrixView x,
           double beta, MatrixView y);
 
@@ -25,16 +37,58 @@ void ger(double alpha, ConstMatrixView x, ConstMatrixView y, MatrixView a);
 enum class UpLo { Upper, Lower };
 enum class Diag { NonUnit, Unit };
 
-// B = op(A) * B where A is triangular (left side multiply).
+// B = op(A) * B where A is a k x k triangle and B is k x n (left side
+// multiply). Only A's `uplo` triangle is read, and not its diagonal under
+// Diag::Unit.
+//
+// One rule picks the path. When the packed GEMM backend is active and
+// gemm_packs(k, n, k) holds, the product runs through the packed GEMM on a
+// dense copy of the triangle (explicit zeros, and an explicit unit diagonal
+// under Diag::Unit) and a copy of B, both in `scratch`, which must then
+// hold trmm_scratch_doubles(k, n) entries. Otherwise, and always under the
+// naive backend (the oracle), scalar column loops run in place and
+// `scratch` is not touched. The choice depends only on shapes and the
+// backend, never on the micro-kernel ISA, so every caller computes the same
+// bits for the same operands. Below the threshold (b = 8 tiles, ib = 16 at
+// b = 64, single columns) packing costs more than it saves.
+void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b,
+               std::span<double> scratch, GemmWorkspace& ws);
+
+// The same product for shapes the rule above keeps on the scalar loops
+// (larft_column's single T columns, small triangles, any shape under the
+// naive backend); throws for a shape that would take the dense path, which
+// needs the scratch-taking form.
 void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b);
+
+// Scratch entries trmm_left's dense path needs for a k x k triangle and a
+// k x n B: k (k + n).
+std::size_t trmm_scratch_doubles(int k, int n);
+
+// D = the `uplo` triangle of the m x k A (m >= k; a trapezoid when m > k)
+// as a dense matrix: explicit zeros outside it and, under Diag::Unit, an
+// explicit unit diagonal. Reads nothing outside the triangle, nor the
+// diagonal under Diag::Unit.
+void copy_triangle(UpLo uplo, Diag diag, ConstMatrixView a, MatrixView d);
 
 // Solves op(A) * X = B in place (left side, triangular A).
 void trsm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b);
 
-// Euclidean norm of an n x 1 view.
+// Euclidean norm of an n x 1 view. The fast path sums the squares with the
+// fixed-order dot and returns the square root when that sum ss satisfies
+// 2^-991 <= ss <= DBL_MAX. ss finite means no square or partial sum
+// overflowed (the terms are nonnegative, so an overflow leaves Inf and a NaN
+// entry leaves NaN, both outside the range). An underflowed square or sum
+// is off by at most 2^-1075 = u * DBL_MIN (u = 2^-53), and there are fewer
+// than 2^31 of them, so their total error stays below u * 2^-991 <= u * ss:
+// at most one extra rounding of ss. Outside the range, NaN and Inf included,
+// the scaled one-pass loop (LAPACK's dlassq) runs, so huge, tiny and
+// non-finite vectors behave as that loop defines: a NaN entry gives NaN, a
+// single +-Inf entry gives Inf. The path and both summation orders depend
+// only on the values, so every thread, rank and micro-kernel ISA gets the
+// same bits.
 double nrm2(ConstMatrixView x);
 
-// Dot product of two n x 1 views.
+// Dot product of two n x 1 views, through the fixed-order dot above.
 double dot(ConstMatrixView x, ConstMatrixView y);
 
 // x *= alpha for an n x 1 view.

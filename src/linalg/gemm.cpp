@@ -238,14 +238,6 @@ void small_impl(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   }
 }
 
-// Kernel-independent thresholds: the packed/small split must not depend on
-// which micro-kernel is active, or forcing HQR_KERNEL_ISA=portable would
-// change the accumulation order and break bit-identity with the SIMD path.
-bool small_case(int m, int n, int k) {
-  return m < 8 || n < 4 || k < 4 ||
-         static_cast<long long>(m) * n * k < 32768;
-}
-
 void check_shapes(Trans tb, ConstMatrixView b, MatrixView c, int m, int n,
                   int k) {
   HQR_CHECK(op_rows(tb, b) == k, "gemm inner dimension mismatch");
@@ -275,6 +267,14 @@ void set_gemm_backend(GemmBackend backend) {
 
 GemmBackend gemm_backend() {
   return g_backend.load(std::memory_order_relaxed);
+}
+
+// Kernel-independent thresholds: the packed/small split must not depend on
+// which micro-kernel is active, or forcing HQR_KERNEL_ISA=portable would
+// change the accumulation order and break bit-identity with the SIMD path.
+bool gemm_packs(int m, int n, int k) {
+  return m >= 8 && n >= 4 && k >= 4 &&
+         static_cast<long long>(m) * n * k >= 32768;
 }
 
 double* GemmWorkspace::AlignedBuffer::ensure(std::size_t doubles) {
@@ -311,10 +311,10 @@ void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   }
   scale_c(beta, c);
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
-  if (small_case(m, n, k)) {
-    small_impl(ta, tb, alpha, a, b, c, m, n, k);
-  } else {
+  if (gemm_packs(m, n, k)) {
     packed_impl(ta, tb, alpha, a, b, c, m, n, k, ws);
+  } else {
+    small_impl(ta, tb, alpha, a, b, c, m, n, k);
   }
 }
 

@@ -84,6 +84,13 @@ class GemmWorkspace {
   AlignedBuffer a_, b_;
 };
 
+// True when the packed backend runs an m x n x k product (C is m x n, the
+// inner dimension k) through the packed core; false when it takes the
+// direct loops for problems too small to amortize packing. The rule depends
+// only on the shape, never on the active micro-kernel, so callers that
+// choose a path by it (trmm_left) choose the same one under every ISA.
+bool gemm_packs(int m, int n, int k);
+
 // C = alpha * op(A) * op(B) + beta * C through the selected backend. The
 // workspace-less overload uses a thread-local GemmWorkspace.
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,

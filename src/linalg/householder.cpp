@@ -1,6 +1,8 @@
 #include "linalg/householder.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace hqr {
 
@@ -64,11 +66,12 @@ void larft_column(ConstMatrixView v, int j, double tau, MatrixView t) {
   }
   // t(0:j, j) = -tau * V(:, 0:j)^T * v_j, exploiting the unit-lower structure:
   // v_j has implicit 1 at row j and stored entries in rows j+1..m-1.
+  const double* vj = v.data + static_cast<std::size_t>(j) * v.ld + j + 1;
   for (int i = 0; i < j; ++i) {
     // Column i of V: implicit 1 at row i, stored entries rows i+1..m-1.
-    double s = v(j, i);  // row j of column i times the implicit v_j(j) = 1
-    for (int r = j + 1; r < m; ++r) s += v(r, i) * v(r, j);
-    t(i, j) = -tau * s;
+    // Row j of column i times the implicit v_j(j) = 1, plus the rows below.
+    const double* vi = v.data + static_cast<std::size_t>(i) * v.ld + j + 1;
+    t(i, j) = -tau * (v(j, i) + dot(m - j - 1, vi, vj));
   }
   // t(0:j, j) = T(0:j, 0:j) * t(0:j, j)   (triangular multiply, in place).
   if (j > 0) {
@@ -80,41 +83,32 @@ void larft_column(ConstMatrixView v, int j, double tau, MatrixView t) {
 }
 
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,
-                MatrixView work, GemmWorkspace* gws) {
+                std::span<double> scratch, GemmWorkspace& ws) {
   const int m = c.rows;
-  const int n = c.cols;
   const int k = v.cols;
-  HQR_CHECK(v.rows == m && t.rows == k && t.cols == k, "larfb shape mismatch");
-  HQR_CHECK(work.rows >= k && work.cols >= n, "larfb work too small");
+  HQR_CHECK(v.rows == m && m >= k && t.rows == k && t.cols == k,
+            "larfb shape mismatch");
   if (k == 0) return;
-  MatrixView w = work.block(0, 0, k, n);
-  const auto mm = [&](Trans ta, Trans tb, double alpha, ConstMatrixView ma,
-                      ConstMatrixView mb, double beta, MatrixView mc) {
-    if (gws)
-      gemm(ta, tb, alpha, ma, mb, beta, mc, *gws);
-    else
-      gemm(ta, tb, alpha, ma, mb, beta, mc);
-  };
+  MatrixView w = carve(scratch, k, c.cols);
+  MatrixView vd = carve(scratch, m, k);
+  copy_triangle(UpLo::Lower, Diag::Unit, v, vd);
+  gemm(Trans::Yes, Trans::No, 1.0, vd, c, 0.0, w, ws);          // W = V^T C
+  trmm_left(UpLo::Upper, trans, Diag::NonUnit, t, w, scratch, ws);  // op(T) W
+  gemm(Trans::No, Trans::No, -1.0, vd, w, 1.0, c, ws);          // C -= V W
+}
 
-  // W = V^T * C with V unit-lower-trapezoidal:
-  // top k x k block is unit lower triangular, bottom (m-k) x k is dense.
-  copy(c.block(0, 0, k, n), w);
-  trmm_left(UpLo::Lower, Trans::Yes, Diag::Unit, v.block(0, 0, k, k), w);
-  if (m > k) {
-    mm(Trans::Yes, Trans::No, 1.0, v.block(k, 0, m - k, k),
-       c.block(k, 0, m - k, n), 1.0, w);
-  }
-  // W = op(T) * W.
-  trmm_left(UpLo::Upper, trans, Diag::NonUnit, t, w);
-  // C -= V * W.
-  if (m > k) {
-    mm(Trans::No, Trans::No, -1.0, v.block(k, 0, m - k, k), w, 1.0,
-       c.block(k, 0, m - k, n));
-  }
-  // Top block: C(0:k,:) -= V1 * W with V1 unit lower triangular.
-  // Compute V1 * W into a temporary path: reuse w in place.
-  trmm_left(UpLo::Lower, Trans::No, Diag::Unit, v.block(0, 0, k, k), w);
-  axpy(-1.0, w, c.block(0, 0, k, n));
+void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t,
+                MatrixView c) {
+  thread_local std::vector<double> scratch;
+  thread_local GemmWorkspace ws;
+  scratch.resize(std::max(scratch.size(),
+                          larfb_scratch_doubles(c.rows, v.cols, c.cols)));
+  larfb_left(trans, v, t, c, scratch, ws);
+}
+
+std::size_t larfb_scratch_doubles(int m, int k, int n) {
+  return static_cast<std::size_t>(k) * n + static_cast<std::size_t>(m) * k +
+         trmm_scratch_doubles(k, n);
 }
 
 }  // namespace hqr

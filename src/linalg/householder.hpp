@@ -5,6 +5,8 @@
 // Q = I - V * T * V^T with V unit-lower-trapezoidal and T upper triangular.
 #pragma once
 
+#include <span>
+
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
@@ -30,11 +32,22 @@ void larf_left(double tau, ConstMatrixView v_tail, MatrixView c,
 void larft_column(ConstMatrixView v, int j, double tau, MatrixView t);
 
 // Applies the block reflector Q = I - V T V^T (or Q^T) from the left to C.
-// V is m x k unit-lower-trapezoidal, T is k x k upper triangular.
-// work must be k x C.cols. `gws` (optional) supplies reusable GEMM packing
-// buffers — kernel code passes its TileWorkspace's buffers so no task
-// allocates; when null a thread-local workspace is used.
+// V is m x k unit-lower-trapezoidal (m >= k; its upper triangle and
+// diagonal are not read), T is k x k upper triangular. W = V^T C and
+// C -= V W are single GEMMs over an explicit unit-lower copy of V, so
+// op(T) W is the only triangle multiply. `scratch` holds W, the copy of V
+// and trmm_left's scratch, compactly: larfb_scratch_doubles(m, k, C.cols)
+// entries. Kernel code passes its TileWorkspace's scratch and packing
+// buffers so no task allocates.
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,
-                MatrixView work, GemmWorkspace* gws = nullptr);
+                std::span<double> scratch, GemmWorkspace& ws);
+
+// The same with thread-local scratch and packing buffers (ref_qr, tests).
+void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t,
+                MatrixView c);
+
+// Scratch entries larfb_left needs for an m x k V and n columns of C:
+// k n (W) + m k (V) + trmm_scratch_doubles(k, n).
+std::size_t larfb_scratch_doubles(int m, int k, int n);
 
 }  // namespace hqr

@@ -44,6 +44,16 @@ void axpy(double alpha, ConstMatrixView src, MatrixView dst) {
   }
 }
 
+MatrixView carve(std::span<double>& pool, int rows, int cols) {
+  HQR_CHECK(rows >= 0 && cols >= 0, "negative dimension");
+  const std::size_t n = static_cast<std::size_t>(rows) * cols;
+  HQR_CHECK(pool.size() >= n, "scratch holds " << pool.size()
+                                                << " doubles, needs " << n);
+  MatrixView m(pool.data(), rows, cols, rows);
+  pool = pool.subspan(n);
+  return m;
+}
+
 double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   HQR_CHECK(a.rows == b.rows && a.cols == b.cols, "diff shape mismatch");
   double m = 0.0;

@@ -5,6 +5,7 @@
 // that tiles, panels and blocks can alias owned storage without copies.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -137,5 +138,10 @@ void set_identity(MatrixView dst);
 void axpy(double alpha, ConstMatrixView src, MatrixView dst);
 // Max |a(i,j) - b(i,j)|.
 double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
+
+// Takes a compact rows x cols matrix (leading dimension rows) off the front
+// of `pool` and shrinks `pool` past it; throws when the pool is too small.
+// How the kernels lay out their copies in a worker's scratch.
+MatrixView carve(std::span<double>& pool, int rows, int cols);
 
 }  // namespace hqr

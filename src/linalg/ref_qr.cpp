@@ -64,7 +64,6 @@ RefQR ref_qr_blocked(const Matrix& a, int nb) {
   const int k = std::min(m, n);
   qr.tau.reserve(k);
   Matrix t(nb, nb);
-  Matrix work(nb, std::max(1, n));
 
   for (int j0 = 0; j0 < k; j0 += nb) {
     const int w = std::min(nb, k - j0);
@@ -78,7 +77,7 @@ RefQR ref_qr_blocked(const Matrix& a, int nb) {
       for (int j = 0; j < w; ++j)
         larft_column(v, j, qr.tau[static_cast<std::size_t>(j0) + j], tw);
       MatrixView c = qr.a.block(j0, j0 + w, m - j0, trailing);
-      larfb_left(Trans::Yes, v, tw, c, work.view());
+      larfb_left(Trans::Yes, v, tw, c);
     }
   }
   return qr;

@@ -843,4 +843,6 @@ void Server::stop() { impl_->stop_all(); }
 
 ServerStatus Server::status() const { return impl_->snapshot(); }
 
+DagPool& Server::pool_for_testing() { return *impl_->pool; }
+
 }  // namespace hqr::serve

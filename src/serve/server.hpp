@@ -32,6 +32,10 @@
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
+namespace hqr {
+class DagPool;
+}  // namespace hqr
+
 namespace hqr::serve {
 
 struct ServerOptions {
@@ -61,6 +65,11 @@ class Server {
 
   // Server-wide counters (same data a Status request returns).
   ServerStatus status() const;
+
+  // Test seam: the shared worker pool, so a test can hold its workers on a
+  // task of its own while it admits requests. Work submitted here bypasses
+  // every server limit; no production caller uses it.
+  DagPool& pool_for_testing();
 
  private:
   struct Impl;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/random_matrix.hpp"
@@ -90,35 +93,92 @@ TEST(Gemm, StridedViews) {
   EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-15);
 }
 
-class TrmmCase
-    : public ::testing::TestWithParam<std::tuple<UpLo, Trans, Diag>> {};
+// Selects a GEMM backend for one test and restores the packed default.
+class BackendGuard {
+ public:
+  explicit BackendGuard(GemmBackend backend) { set_gemm_backend(backend); }
+  ~BackendGuard() { set_gemm_backend(GemmBackend::Packed); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+};
 
+class TrmmCase : public ::testing::TestWithParam<
+                     std::tuple<UpLo, Trans, Diag, GemmBackend>> {};
+
+// Every path of trmm_left: the shapes straddle GEMM's packing threshold
+// (k = 6 and 8 never pack; k = 130 packs from 7 columns on, k = 32 and 33
+// from 40), under both backends, through the scratch-taking form (scratch
+// sized exactly, so ASan sees a read or write past it). The convenience
+// form must give the same bits where the rule keeps the scalar loops and
+// refuse the shapes that pack. The unreferenced triangle, and the diagonal
+// under Diag::Unit, hold NaN: a dense copy of the whole square would carry
+// it into B.
 TEST_P(TrmmCase, MatchesDenseProduct) {
-  auto [uplo, ta, diag] = GetParam();
+  auto [uplo, ta, diag, backend] = GetParam();
+  BackendGuard guard(backend);
   Rng rng(23);
-  const int n = 6, nc = 4;
-  Matrix a = random_uniform(n, n, rng);
-  // Build the dense triangular equivalent.
-  Matrix tri(n, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) {
-      const bool keep = uplo == UpLo::Upper ? i <= j : i >= j;
-      if (keep) tri(i, j) = a(i, j);
-    }
-  if (diag == Diag::Unit)
-    for (int i = 0; i < n; ++i) tri(i, i) = 1.0;
+  for (int n : {6, 8, 32, 33, 130}) {
+    for (int nc : {1, 7, 40, 200}) {
+      Matrix a = random_uniform(n, n, rng);
+      Matrix tri(n, n);
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i) {
+          const bool keep = uplo == UpLo::Upper ? i <= j : i >= j;
+          if (diag == Diag::Unit && i == j) {
+            tri(i, j) = 1.0;
+            a(i, j) = std::nan("");
+          } else if (keep) {
+            tri(i, j) = a(i, j);
+          } else {
+            a(i, j) = std::nan("");
+          }
+        }
+      const Matrix b = random_uniform(n, nc, rng);
+      const Matrix expect = ref_mul(ta, Trans::No, tri, b);
+      double scale = 0.0;
+      for (double v : expect.storage()) scale = std::max(scale, std::abs(v));
 
-  Matrix b = random_uniform(n, nc, rng);
-  Matrix expect = ref_mul(ta, Trans::No, tri, b);
-  trmm_left(uplo, ta, diag, a.view(), b.view());
-  EXPECT_LT(max_abs_diff(b.view(), expect.view()), 1e-13);
+      Matrix got = b;
+      std::vector<double> scratch(trmm_scratch_doubles(n, nc));
+      GemmWorkspace ws;
+      trmm_left(uplo, ta, diag, a.view(), got.view(), scratch, ws);
+      const double err = max_abs_diff(got.view(), expect.view());
+      EXPECT_LE(err, 1e-13 * scale) << "k=" << n << " n=" << nc;
+      EXPECT_FALSE(std::isnan(err)) << "NaN reached B at k=" << n
+                                    << " n=" << nc;
+
+      Matrix convenience = b;
+      if (backend == GemmBackend::Naive || !gemm_packs(n, nc, n)) {
+        trmm_left(uplo, ta, diag, a.view(), convenience.view());
+        EXPECT_EQ(got.storage(), convenience.storage())
+            << "k=" << n << " n=" << nc;
+      } else {
+        EXPECT_THROW(trmm_left(uplo, ta, diag, a.view(), convenience.view()),
+                     Error)
+            << "k=" << n << " n=" << nc;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, TrmmCase,
     ::testing::Combine(::testing::Values(UpLo::Upper, UpLo::Lower),
                        ::testing::Values(Trans::No, Trans::Yes),
-                       ::testing::Values(Diag::NonUnit, Diag::Unit)));
+                       ::testing::Values(Diag::NonUnit, Diag::Unit),
+                       ::testing::Values(GemmBackend::Packed,
+                                         GemmBackend::Naive)));
+
+TEST(Trmm, DensePathRejectsShortScratch) {
+  Rng rng(29);
+  Matrix a = random_uniform(32, 32, rng);
+  Matrix b = random_uniform(32, 40, rng);
+  std::vector<double> scratch(trmm_scratch_doubles(32, 40) - 1);
+  GemmWorkspace ws;
+  EXPECT_THROW(trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit, a.view(),
+                         b.view(), scratch, ws),
+               Error);
+}
 
 class TrsmCase
     : public ::testing::TestWithParam<std::tuple<UpLo, Trans, Diag>> {};
@@ -141,6 +201,136 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(UpLo::Upper, UpLo::Lower),
                        ::testing::Values(Trans::No, Trans::Yes),
                        ::testing::Values(Diag::NonUnit, Diag::Unit)));
+
+// Long-double references: x86-64's 80-bit format has 11 more mantissa bits
+// than double and a wide enough exponent for 1e+-300 squared and for
+// squared subnormals.
+long double dot_ref(const std::vector<double>& x,
+                    const std::vector<double>& y) {
+  long double s = 0.0L;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    s += static_cast<long double>(x[i]) * y[i];
+  return s;
+}
+
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+
+// The fixed-order dot against the reference: |error| <= n eps sum|x_i y_i|,
+// the usual summation bound (relative to the result itself when no terms
+// cancel). n = 0..9 covers empty, tail-only, one full group, and a group
+// plus tail.
+TEST(Dot, FixedOrderMatchesLongDoubleReference) {
+  Rng rng(43);
+  for (int n : {0, 1, 7, 8, 9, 200}) {
+    std::vector<double> x(n), y(n);
+    for (int i = 0; i < n; ++i) {
+      x[i] = rng.gaussian();
+      y[i] = rng.gaussian();
+    }
+    long double abs_sum = 0.0L;
+    for (int i = 0; i < n; ++i)
+      abs_sum += std::abs(static_cast<long double>(x[i]) * y[i]);
+    const long double err =
+        std::abs(dot(n, x.data(), y.data()) - dot_ref(x, y));
+    EXPECT_LE(err, n * kEps * abs_sum) << "n=" << n;
+  }
+}
+
+// The summation order depends only on n: the same values at other
+// alignments, where a vectorizer could peel a different prefix, give the
+// same bits.
+TEST(Dot, FixedOrderIsIndependentOfAlignment) {
+  Rng rng(47);
+  std::vector<double> buf(260);
+  for (double& v : buf) v = rng.gaussian();
+  for (int n : {5, 8, 13, 200}) {
+    std::vector<double> x(buf.begin(), buf.begin() + n);
+    std::vector<double> y(buf.begin() + 50, buf.begin() + 50 + n);
+    const double want = dot(n, x.data(), y.data());
+    for (int off = 1; off < 8; ++off) {
+      std::vector<double> xs(off + n), ys(off + n);
+      std::copy(x.begin(), x.end(), xs.begin() + off);
+      std::copy(y.begin(), y.end(), ys.begin() + off);
+      EXPECT_EQ(dot(n, xs.data() + off, ys.data() + off), want)
+          << "n=" << n << " offset=" << off;
+    }
+  }
+}
+
+struct Nrm2Case {
+  const char* name;
+  std::vector<double> x;
+  bool fast;  // whether the sum of squares lands in the fast-path range
+};
+
+std::vector<double> filled(int n, double v) {
+  return std::vector<double>(n, v);
+}
+
+// n entries of alternating sign: every third of magnitude in [big/2, big],
+// the others in [small/2, small].
+std::vector<double> scaled(int n, Rng& rng, double big, double small) {
+  std::vector<double> x(n);
+  for (int i = 0; i < n; ++i)
+    x[i] = (i % 3 == 0 ? big : small) * rng.uniform(0.5, 1.0) *
+           (i % 2 ? -1.0 : 1.0);
+  return x;
+}
+
+// nrm2 against sqrt of the long-double sum of squares, within n eps, on
+// vectors that reach each side of the fast path's range
+// [2^-991, DBL_MAX]: the `fast` flag states which side each one reaches,
+// and the test checks that the sum of squares really lands there. A
+// subnormal norm cannot be closer than half the subnormal spacing, so the
+// tolerance adds that.
+TEST(Nrm2, MatchesLongDoubleReferenceOnBothPaths) {
+  Rng rng(53);
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const std::vector<Nrm2Case> cases = {
+      {"unit", scaled(200, rng, 1.0, 1.0), true},
+      {"1e+140", scaled(200, rng, 1e140, 1e140), true},
+      {"1e-140", scaled(200, rng, 1e-140, 1e-140), true},
+      {"1e+160", scaled(200, rng, 1e160, 1e160), false},
+      {"1e-160", scaled(200, rng, 1e-160, 1e-160), false},
+      {"1e+300", scaled(7, rng, 1e300, 1e300), false},
+      {"1e-300", scaled(9, rng, 1e-300, 1e-300), false},
+      {"subnormal", {3 * kSub, -4 * kSub, kSub, 0.0, 1e5 * kSub}, false},
+      {"zeros", filled(8, 0.0), false},
+      {"zero-length", {}, false},
+      {"mixed 1 and 1e-200", scaled(33, rng, 1.0, 1e-200), true},
+      {"mixed 1e+200 and 1", scaled(33, rng, 1e200, 1.0), false},
+      {"mixed 1e-150 and 1e-300", scaled(33, rng, 1e-150, 1e-300), false},
+      {"single huge", {0.0, 0.0, 1.5e308, 0.0}, false},
+  };
+  for (const Nrm2Case& c : cases) {
+    const int n = static_cast<int>(c.x.size());
+    const double ss = dot(n, c.x.data(), c.x.data());
+    EXPECT_EQ(ss >= 0x1p-991 && ss <= std::numeric_limits<double>::max(),
+              c.fast)
+        << c.name;
+    long double ref = 0.0L;
+    for (double v : c.x) ref += static_cast<long double>(v) * v;
+    ref = std::sqrt(ref);
+    Matrix x(n, 1);
+    for (int i = 0; i < n; ++i) x(i, 0) = c.x[i];
+    const double got = nrm2(x.view());
+    EXPECT_LE(std::abs(got - ref), std::max(n, 1) * kEps * ref + 0.5L * kSub)
+        << c.name;
+  }
+}
+
+TEST(Nrm2, NonFiniteEntriesPropagate) {
+  for (int pos : {0, 3, 9}) {
+    Matrix x(10, 1);
+    for (int i = 0; i < 10; ++i) x(i, 0) = 0.5 + i;
+    x(pos, 0) = std::nan("");
+    EXPECT_TRUE(std::isnan(nrm2(x.view()))) << "NaN at " << pos;
+    for (double inf : {HUGE_VAL, -HUGE_VAL}) {
+      x(pos, 0) = inf;
+      EXPECT_EQ(nrm2(x.view()), HUGE_VAL) << inf << " at " << pos;
+    }
+  }
+}
 
 TEST(Nrm2, MatchesDefinition) {
   Matrix x(3, 1);

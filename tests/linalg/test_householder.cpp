@@ -103,14 +103,11 @@ TEST(LarfLeft, TauZeroIsNoOp) {
   EXPECT_EQ(max_abs_diff(c.view(), c0.view()), 0.0);
 }
 
-// larft + larfb must equal the product of individual reflectors.
-TEST(LarftLarfb, BlockReflectorMatchesSequentialReflectors) {
-  Rng rng(33);
-  const int m = 8, k = 4, n = 5;
-  // Build V unit-lower-trapezoidal and taus from an actual factorization
-  // step: factor a random panel column by column.
-  Matrix panel = random_gaussian(m, k, rng);
-  Matrix work(std::max(k, n), 1);
+// Builds V unit-lower-trapezoidal, its taus and T from an actual
+// factorization step: factors `panel` column by column.
+std::vector<double> factor_panel(Matrix& panel, Matrix& t) {
+  const int m = panel.rows(), k = panel.cols();
+  Matrix work(k, 1);
   std::vector<double> tau(k);
   for (int j = 0; j < k; ++j) {
     double alpha = panel(j, j);
@@ -122,15 +119,23 @@ TEST(LarftLarfb, BlockReflectorMatchesSequentialReflectors) {
       larf_left(tau[j], x, c, work.view());
     }
   }
-
-  Matrix t(k, k);
   for (int j = 0; j < k; ++j) larft_column(panel.view(), j, tau[j], t.view());
+  return tau;
+}
+
+// larft + larfb must equal the product of individual reflectors.
+TEST(LarftLarfb, BlockReflectorMatchesSequentialReflectors) {
+  Rng rng(33);
+  const int m = 8, k = 4, n = 5;
+  Matrix panel = random_gaussian(m, k, rng);
+  Matrix t(k, k);
+  const std::vector<double> tau = factor_panel(panel, t);
+  Matrix work(std::max(k, n), 1);
 
   // Apply Q^T via larfb to a random C.
   Matrix c0 = random_gaussian(m, n, rng);
   Matrix c_blocked = c0;
-  Matrix bwork(k, n);
-  larfb_left(Trans::Yes, panel.view(), t.view(), c_blocked.view(), bwork.view());
+  larfb_left(Trans::Yes, panel.view(), t.view(), c_blocked.view());
 
   // Apply H_{k-1}...H_0? Q = H_0 H_1 ... H_{k-1}; Q^T C = H_{k-1}^T ... H_0^T C
   // = H_{k-1} ... H_0 C applied in increasing j order.
@@ -147,27 +152,50 @@ TEST(LarftLarfb, QFollowedByQTransposeIsIdentity) {
   Rng rng(35);
   const int m = 7, k = 3, n = 4;
   Matrix panel = random_gaussian(m, k, rng);
-  Matrix work(std::max(k, n), 1);
-  std::vector<double> tau(k);
-  for (int j = 0; j < k; ++j) {
-    double alpha = panel(j, j);
-    MatrixView x = panel.block(j + 1, j, m - j - 1, 1);
-    tau[j] = larfg(m - j, alpha, x);
-    panel(j, j) = alpha;
-    if (j + 1 < k) {
-      MatrixView c = panel.block(j, j + 1, m - j, k - j - 1);
-      larf_left(tau[j], x, c, work.view());
-    }
-  }
   Matrix t(k, k);
-  for (int j = 0; j < k; ++j) larft_column(panel.view(), j, tau[j], t.view());
+  factor_panel(panel, t);
 
   Matrix c0 = random_gaussian(m, n, rng);
   Matrix c = c0;
-  Matrix bwork(k, n);
-  larfb_left(Trans::Yes, panel.view(), t.view(), c.view(), bwork.view());
-  larfb_left(Trans::No, panel.view(), t.view(), c.view(), bwork.view());
+  larfb_left(Trans::Yes, panel.view(), t.view(), c.view());
+  larfb_left(Trans::No, panel.view(), t.view(), c.view());
   EXPECT_LT(max_abs_diff(c.view(), c0.view()), 1e-13);
+}
+
+// At ib = 32 the T multiply takes trmm_left's dense path. The scratch-taking
+// form with scratch of exactly larfb_scratch_doubles entries (ASan sees any
+// access past it) gives the convenience form's bits, and V's upper triangle
+// and diagonal, NaN here, are never read.
+TEST(LarftLarfb, DensePathWithExactScratchMatchesReflectors) {
+  Rng rng(37);
+  const int m = 80, k = 32, n = 40;
+  Matrix panel = random_gaussian(m, k, rng);
+  Matrix t(k, k);
+  const std::vector<double> tau = factor_panel(panel, t);
+  Matrix v = panel;
+  for (int j = 0; j < k; ++j)
+    for (int i = 0; i <= j; ++i) v(i, j) = std::nan("");
+
+  const Matrix c0 = random_gaussian(m, n, rng);
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    Matrix c = c0, c_conv = c0;
+    std::vector<double> scratch(larfb_scratch_doubles(m, k, n));
+    GemmWorkspace ws;
+    larfb_left(trans, v.view(), t.view(), c.view(), scratch, ws);
+    larfb_left(trans, v.view(), t.view(), c_conv.view());
+    EXPECT_EQ(c.storage(), c_conv.storage());
+
+    // Q^T = H_{k-1} ... H_0 applies reflectors in increasing j, Q in
+    // decreasing j.
+    Matrix c_seq = c0;
+    Matrix work(n, 1);
+    for (int s = 0; s < k; ++s) {
+      const int j = trans == Trans::Yes ? s : k - 1 - s;
+      MatrixView x = panel.block(j + 1, j, m - j - 1, 1);
+      larf_left(tau[j], x, c_seq.block(j, 0, m - j, n), work.view());
+    }
+    EXPECT_LT(max_abs_diff(c.view(), c_seq.view()), 1e-12);
+  }
 }
 
 }  // namespace

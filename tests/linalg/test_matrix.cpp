@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace hqr {
 namespace {
 
@@ -116,6 +119,20 @@ TEST(Matrix, MaterializeDeepCopies) {
 
 TEST(Matrix, NegativeDimensionThrows) {
   EXPECT_THROW(Matrix(-1, 2), Error);
+}
+
+TEST(Matrix, CarveTakesCompactBlocksInTurn) {
+  std::vector<double> buf(20);
+  std::span<double> pool(buf);
+  MatrixView a = carve(pool, 3, 4);
+  MatrixView b = carve(pool, 2, 2);
+  EXPECT_EQ(a.data, buf.data());
+  EXPECT_EQ(a.ld, 3);
+  EXPECT_EQ(b.data, buf.data() + 12);
+  EXPECT_EQ(b.ld, 2);
+  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_THROW(carve(pool, 5, 1), Error);
+  EXPECT_EQ(pool.size(), 4u);
 }
 
 }  // namespace

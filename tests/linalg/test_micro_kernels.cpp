@@ -5,7 +5,8 @@
 // *bitwise* with the portable kernel — each output element is one fused
 // multiply-add chain over k ascending regardless of MR/NR/vector length —
 // which is the property that lets HQR_KERNEL_ISA=portable reproduce a SIMD
-// run exactly.
+// run exactly. The six tile kernels inherit it, and a test here pins that
+// too.
 #include "linalg/micro_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/ib_kernels.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/random_matrix.hpp"
 
@@ -162,6 +164,60 @@ TEST_F(MicroKernels, SupportedVariantsAreBitIdenticalToPortable) {
       gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view(), ws);
       EXPECT_EQ(max_abs_diff(c.view(), c_ref.view()), 0.0)
           << k.name << " m=" << m << " n=" << n << " k=" << kk;
+    }
+  }
+}
+
+// Outputs of all six inner-blocked kernels at (b, ib) on fixed inputs: the
+// factors and T of GEQRT, TSQRT and TTQRT, and what UNMQR, TSMQR and TTMQR
+// make of fixed C tiles under Q^T and Q.
+std::vector<Matrix> run_tile_kernels(int b, int ib) {
+  Rng rng(8675309);
+  TileWorkspace ws(b);
+  const Matrix a = random_gaussian(b, b, rng);
+  const Matrix a2 = random_gaussian(b, b, rng);
+  const Matrix c1 = random_gaussian(b, b, rng);
+  const Matrix c2 = random_gaussian(b, b, rng);
+  std::vector<Matrix> out;
+
+  Matrix v = a, tg(ib, b);
+  geqrt_ib(v.view(), tg.view(), ib, ws);
+  Matrix r1 = v, v2 = a2, ts(ib, b);
+  tsqrt_ib(r1.view(), v2.view(), ts.view(), ib, ws);
+  Matrix q1 = r1, q2 = v, tt(ib, b);  // R on R (v's upper triangle is R)
+  ttqrt_ib(q1.view(), q2.view(), tt.view(), ib, ws);
+  out.insert(out.end(), {v, tg, r1, v2, ts, q1, q2, tt});
+
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    Matrix u = c1;
+    unmqr_ib(v.view(), tg.view(), ib, trans, u.view(), ws);
+    Matrix s1 = c1, s2 = c2;
+    tsmqr_ib(s1.view(), s2.view(), v2.view(), ts.view(), ib, trans, ws);
+    Matrix t1 = c1, t2 = c2;
+    ttmqr_ib(t1.view(), t2.view(), q2.view(), tt.view(), ib, trans, ws);
+    out.insert(out.end(), {u, s1, s2, t1, t2});
+  }
+  return out;
+}
+
+TEST_F(MicroKernels, TileKernelsBitIdenticalToPortable) {
+  // The same contract one layer up: the panel loops, dots and norms do not
+  // depend on the micro-kernel, and every product the kernels hand to GEMM
+  // (the dense-triangle multiplies included) is bit-identical across
+  // variants, so the six kernels are too. (64, 16) keeps the triangle
+  // multiplies on the scalar loops, (200, 32) sends them through GEMM.
+  set_gemm_blocking(GemmBlocking{});
+  for (const auto& [b, ib] : {std::pair{64, 16}, std::pair{200, 32}}) {
+    ASSERT_TRUE(set_active_micro_kernel("portable"));
+    const std::vector<Matrix> ref = run_tile_kernels(b, ib);
+    for (const MicroKernel& k : micro_kernel_registry()) {
+      if (!micro_kernel_isa_supported(k.isa)) continue;
+      ASSERT_TRUE(set_active_micro_kernel(k.name));
+      const std::vector<Matrix> got = run_tile_kernels(b, ib);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].storage(), ref[i].storage())
+            << k.name << " b=" << b << " ib=" << ib << " output " << i;
     }
   }
 }

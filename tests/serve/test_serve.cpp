@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -13,7 +15,9 @@
 #include "core/incremental_tsqr.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "runtime/dag_pool.hpp"
 #include "serve/client.hpp"
+#include "trees/elimination.hpp"
 
 namespace hqr::serve {
 namespace {
@@ -36,6 +40,26 @@ TEST(Serve, EightConcurrentRequestsBitIdentical) {
   Server server(sopts);
   Client client(client_opts(server));
 
+  // Hold the pool's one worker on a plug task of the test's own until all
+  // eight requests are admitted, the way DagPool.EightConcurrentDagsOnOnePool
+  // gates its roots. No request task can run before the release, so no
+  // request can finish before the eighth is admitted, however fast the
+  // kernels are. The plug is a DAG on the same pool, so every active-DAG
+  // count below includes it: eight requests admitted together make 1 + 8.
+  std::promise<void> plug_started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  DagPool& pool = server.pool_for_testing();
+  const DagId plug = pool.submit(
+      std::make_shared<const TaskGraph>(
+          expand_to_kernels(elimination_for(TreeChoice::FlatTs, 1, 1), 1, 1),
+          1, 1),
+      8, [&plug_started, released](std::int32_t, TileWorkspace&) {
+        plug_started.set_value();
+        released.wait();
+      });
+  plug_started.get_future().wait();
+
   // Eight pipelined requests of different shapes, tile sizes and trees on
   // one connection: all in flight concurrently on the one shared pool.
   struct Req {
@@ -47,14 +71,6 @@ TEST(Serve, EightConcurrentRequestsBitIdentical) {
   Rng rng(31);
   const TreeChoice trees[] = {TreeChoice::FlatTs, TreeChoice::Binary,
                               TreeChoice::Greedy, TreeChoice::Fibonacci};
-  // The max_active_dags == 8 watermark below is guaranteed by construction,
-  // not by timing: with a single worker and strictly increasing priorities
-  // the pool drains strictly newest-first, so request 1 cannot complete
-  // until every later request has been admitted and fully executed. The
-  // only escape would be all earlier requests draining entirely inside the
-  // few-ms admission gaps — each holds >100ms of kernel work. (True
-  // multi-worker 8-way concurrency is pinned deterministically by
-  // DagPool.EightConcurrentDagsOnOnePool via external-root gating.)
   std::vector<Req> reqs;
   for (int i = 0; i < 8; ++i) {
     Req r;
@@ -64,6 +80,18 @@ TEST(Serve, EightConcurrentRequestsBitIdentical) {
     r.id = client.submit_qr_async(r.a, r.b, 0, r.tree, /*priority=*/i + 1);
     reqs.push_back(std::move(r));
   }
+  // Admission happens on the server's reader thread: wait for the plug plus
+  // all eight requests to be active, then let the worker go.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.status().active_dags < 1 + 8 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::int64_t admitted_with_plug = server.status().active_dags;
+  release.set_value();
+  EXPECT_TRUE(pool.wait(plug));
+  EXPECT_EQ(admitted_with_plug, 1 + 8)
+      << "requests active together before the release, plus the plug";
   // Wait in reverse submission order to exercise out-of-order buffering.
   for (int i = 7; i >= 0; --i) {
     QROutcome res = client.wait_result(reqs[i].id);
@@ -71,8 +99,9 @@ TEST(Serve, EightConcurrentRequestsBitIdentical) {
     EXPECT_EQ(max_abs_diff(want.view(), res.r.view()), 0.0) << "request " << i;
     EXPECT_FALSE(res.has_q);
   }
-  // All eight really were admitted to the pool together.
-  EXPECT_GE(server.status().max_active_dags, 8);
+  // All eight really were admitted to the pool together: the watermark,
+  // less the plug it also counts, reaches eight.
+  EXPECT_GE(server.status().max_active_dags - 1, 8);
   server.stop();
 }
 

@@ -6,12 +6,12 @@
 //      each client thread submits `--requests` QR jobs of the same shape
 //      back to back and records the client-observed latency of each.
 //      Reported: throughput (requests/s) and p50/p95/p99 latency.
-//   2. Batch fusion — `--problems` small QRs submitted (a) as ONE
-//      SubmitBatch, which the server runs as a single fused DAG in one
-//      scheduler pass, and (b) as the same problems submitted one request
-//      at a time. The fused/sequential ratio is the payoff of fusing tiny
-//      DAGs: one admission, one completion barrier, zero idle gaps between
-//      problems.
+//   2. Batching — `--problems` small QRs submitted (a) as ONE
+//      SubmitBatch, which the server runs as one DAG of one task per
+//      problem, and (b) as the same problems submitted one request at a
+//      time. The batch/sequential ratio (the "batch-fused" row's
+//      fused_speedup) is the payoff of batching tiny problems: one request,
+//      one admission, one completion barrier, no round trip per problem.
 //
 // Pass --json=PATH for machine-readable results (schema
 // hqr-bench-serve-v1, consumed by tools/bench_compare.py).

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
             << (failures == 0 ? "all bit-identical to sequential" : "MISMATCH")
             << "\n";
 
-  // -- 2. One fused batch of small problems ------------------------------
+  // -- 2. One batch of small problems ------------------------------------
   ClientOptions copts;
   copts.port = server.port();
   Client client(copts);
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                      rs[p].view()) != 0.0)
       ++batch_bad;
   failures += batch_bad;
-  std::cout << problems << " problems in one fused batch: "
+  std::cout << problems << " problems in one batch: "
             << (batch_bad == 0 ? "all bit-identical" : "MISMATCH") << "\n";
 
   // -- 3. Streaming tall-skinny session ----------------------------------

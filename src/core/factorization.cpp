@@ -15,6 +15,31 @@ int resolve_ib(int ib, int b) {
   return ib == 0 ? default_ib(b) : ib;
 }
 
+// Runs one Q-application op; ct(ti) is the b x w view of C's tile
+// (ti, op.j).
+template <class CTile>
+void apply_op(const KernelOp& op, const QRFactors& f, Trans trans,
+              const CTile& ct, TileWorkspace& ws) {
+  const TiledMatrix& a = f.a();
+  const int ib = f.ib();
+  switch (op.type) {
+    case KernelType::UNMQR:
+      unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, trans,
+               ct(op.row), ws);
+      break;
+    case KernelType::TSMQR:
+      tsmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, trans, ws);
+      break;
+    case KernelType::TTMQR:
+      ttmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
+               f.t_pencil(op.row, op.k), ib, trans, ws);
+      break;
+    default:
+      HQR_CHECK(false, "not a Q-application kernel");
+  }
+}
+
 }  // namespace
 
 QRFactors::QRFactors(TiledMatrix a, KernelList kernels, int ib)
@@ -117,30 +142,19 @@ KernelList q_apply_ops(const QRFactors& f, Trans trans, int nt_c,
 
 void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
                           TiledMatrix& c, TileWorkspace& ws) {
-  const TiledMatrix& a = f.a();
-  const int ib = f.ib();
   // Q and Q^T map zero columns to zero, so the kernels see only the tile
   // column's real columns (b x w views): C's padding is never touched.
   const int w = std::min(c.b(), c.n() - op.j * c.b());
-  const auto ct = [&](int ti) {
-    return c.tile(ti, op.j).block(0, 0, c.b(), w);
-  };
-  switch (op.type) {
-    case KernelType::UNMQR:
-      unmqr_ib(a.tile(op.row, op.k), f.t_geqrt(op.row, op.k), ib, trans,
-               ct(op.row), ws);
-      break;
-    case KernelType::TSMQR:
-      tsmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
-               f.t_pencil(op.row, op.k), ib, trans, ws);
-      break;
-    case KernelType::TTMQR:
-      ttmqr_ib(ct(op.piv), ct(op.row), a.tile(op.row, op.k),
-               f.t_pencil(op.row, op.k), ib, trans, ws);
-      break;
-    default:
-      HQR_CHECK(false, "not a Q-application kernel");
-  }
+  apply_op(op, f, trans,
+           [&](int ti) { return c.tile(ti, op.j).block(0, 0, c.b(), w); }, ws);
+}
+
+void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
+                          MatrixView c, TileWorkspace& ws) {
+  const int b = f.b();
+  const int w = std::min(b, c.cols - op.j * b);
+  apply_op(op, f, trans,
+           [&](int ti) { return c.block(ti * b, op.j * b, b, w); }, ws);
 }
 
 Matrix build_q(const QRFactors& f) {

@@ -89,6 +89,11 @@ KernelList q_apply_ops(const QRFactors& f, Trans trans, int nt_c,
 // past c.n() are neither read nor written (Q maps zero columns to zero).
 void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
                           TiledMatrix& c, TileWorkspace& ws);
+// The same on a dense C whose rows are whole tile rows (c.rows ==
+// f.a().padded_m()): C's tile (i, j) is the b x w block at row i * b, column
+// j * b, w = min(b, c.cols - j * b), so a narrow C carries no padding columns.
+void execute_apply_kernel(const KernelOp& op, const QRFactors& f, Trans trans,
+                          MatrixView c, TileWorkspace& ws);
 
 // Extracts the min(m, n) x n upper-triangular/trapezoidal R (unpadded).
 Matrix extract_r(const QRFactors& f);

@@ -58,7 +58,7 @@ enum class Tag : std::uint32_t {
   Telemetry = 8,
   // --- QR-as-a-service request/response tags (serve/protocol.hpp) ---
   SubmitQR = 9,      // id = request id; one factorization request
-  SubmitBatch = 10,  // id = request id; many small QRs fused server-side
+  SubmitBatch = 10,  // id = request id; many small QRs, one worker each
   StreamOpen = 11,   // id = stream id; open a streaming TSQR session
   StreamAppend = 12, // id = stream id; a block of rows for the session
   StreamQuery = 13,  // id = stream id; ask for the current R (empty payload)

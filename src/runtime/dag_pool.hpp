@@ -23,9 +23,10 @@
 //
 // Scheduling is a single mutex-protected multi-queue rather than the
 // work-stealing deques of the single-DAG engine: admission fairness needs a
-// global view of every DAG's ready set, and the pool's throughput story for
-// small problems is batch *fusion* (serve/batch.hpp) — thousands of tiny
-// QRs become one DAG, amortizing scheduling to one pass. The single-DAG
+// global view of every DAG's ready set, and small problems reach the pool
+// as one task each (serve/batch.hpp: a batch of thousands of tiny QRs is
+// one DAG of one task per problem), so the per-task pick stays cheap
+// against the work it schedules. The single-DAG
 // execute_parallel path is untouched and stays bit-identical (pinned by
 // tests/runtime/test_dag_pool.cpp, which also pins pool-vs-single-run
 // bit-identity — kernels write disjoint regions in dependency order, so any

@@ -722,4 +722,21 @@ void apply_q_parallel(const QRFactors& f, Trans trans, TiledMatrix& c,
   if (stats) *stats = s;
 }
 
+void apply_q_parallel(const QRFactors& f, Trans trans, MatrixView c,
+                      const ExecutorOptions& opts, RunStats* stats) {
+  HQR_CHECK(c.rows == f.a().padded_m(),
+            "apply_q_parallel: C has " << c.rows << " rows, the factors "
+                                       << f.a().padded_m());
+  const int nt_c = TiledMatrix::tile_count(c.cols, f.b());
+  const KernelList ops = q_apply_ops(f, trans, nt_c);
+  TaskGraph graph = TaskGraph::apply_graph(ops, f.mt(), nt_c);
+  RunStats s = run_graph(
+      graph, f.b(),
+      [&](std::int32_t idx, TileWorkspace& ws) {
+        execute_apply_kernel(ops[idx], f, trans, c, ws);
+      },
+      opts);
+  if (stats) *stats = s;
+}
+
 }  // namespace hqr

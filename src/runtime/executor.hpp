@@ -187,4 +187,10 @@ Matrix build_q_parallel(const QRFactors& f, const ExecutorOptions& opts,
 void apply_q_parallel(const QRFactors& f, Trans trans, TiledMatrix& c,
                       const ExecutorOptions& opts, RunStats* stats = nullptr);
 
+// The same on a dense C with whole tile rows (c.rows == f.a().padded_m(),
+// any number of columns), tiled as execute_apply_kernel's dense overload
+// describes. Bit-identical to the TiledMatrix form on the same values.
+void apply_q_parallel(const QRFactors& f, Trans trans, MatrixView c,
+                      const ExecutorOptions& opts, RunStats* stats = nullptr);
+
 }  // namespace hqr

@@ -92,11 +92,14 @@ Matrix qr_solve(const Matrix& a, const Matrix& rhs, const QROptions& opts_in) {
   exec.ib = o.ib;
   QRFactors f = qr_factorize_parallel(a, o.b, list, exec);
 
-  TiledMatrix c = TiledMatrix::from_matrix(rhs, o.b);
-  apply_q_parallel(f, Trans::Yes, c, exec);
-  Matrix qtb = c.to_matrix();
+  // Q^T B on a dense copy of B padded to whole tile rows only: b x b tiles
+  // would pad a few right-hand sides to b columns (10 MB of zeros for
+  // 4 columns at b = 200) that the apply kernels never touch.
+  Matrix c(f.a().padded_m(), rhs.cols());
+  copy(rhs.view(), c.block(0, 0, rhs.rows(), rhs.cols()));
+  apply_q_parallel(f, Trans::Yes, c.view(), exec);
   const int n = a.cols();
-  Matrix x = materialize(qtb.block(0, 0, n, rhs.cols()));
+  Matrix x = materialize(c.block(0, 0, n, rhs.cols()));
   Matrix r = extract_r(f);
   trsm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
             ConstMatrixView(r.block(0, 0, n, n)), x.view());

@@ -1,62 +1,43 @@
 #include "serve/batch.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "linalg/tiled_matrix.hpp"
 
 namespace hqr::serve {
 
-FusedBatch::FusedBatch(const std::vector<Matrix>& problems, int b,
-                       TreeChoice tree, int ib)
-    : b_(b) {
-  HQR_CHECK(!problems.empty(), "FusedBatch needs at least one problem");
+FusedBatch::FusedBatch(std::vector<Matrix> problems, int b, TreeChoice tree,
+                       int ib)
+    : problems_(std::move(problems)), b_(b), tree_(tree), ib_(ib) {
+  HQR_CHECK(!problems_.empty(), "FusedBatch needs at least one problem");
   HQR_CHECK(b >= 1, "tile size must be >= 1");
-
-  factors_.reserve(problems.size());
-  op_offset_.reserve(problems.size() + 1);
-
-  KernelList fused;
-  int row_offset = 0;
-  int fused_nt = 0;
-  for (const Matrix& a : problems) {
-    TiledMatrix ta = TiledMatrix::from_matrix(a, b);
-    const int mt = ta.mt();
-    const int nt = ta.nt();
-    KernelList kernels = expand_to_kernels(elimination_for(tree, mt, nt),
-                                           mt, nt);
-    op_offset_.push_back(fused.size());
-    fused.reserve(fused.size() + kernels.size());
-    for (const KernelOp& op : kernels) {
-      KernelOp shifted = op;
-      shifted.row += row_offset;
-      shifted.piv += row_offset;
-      fused.push_back(shifted);
-    }
-    factors_.emplace_back(std::move(ta), std::move(kernels), ib);
-    row_offset += mt;
-    fused_nt = std::max(fused_nt, nt);
-  }
-  op_offset_.push_back(fused.size());
-
-  graph_ = std::make_shared<const TaskGraph>(fused, row_offset, fused_nt);
+  HQR_CHECK(ib >= 0 && ib <= b,
+            "inner block ib=" << ib << " out of [0, " << b << "]");
+  rs_.resize(problems_.size());
+  // One op per problem, each on its own tile row: no two tasks share a
+  // tile, so the graph has no edges.
+  const int n = static_cast<int>(problems_.size());
+  KernelList ops;
+  ops.reserve(problems_.size());
+  for (int p = 0; p < n; ++p) ops.push_back({KernelType::GEQRT, p, p, 0, -1});
+  graph_ = std::make_shared<const TaskGraph>(ops, n, 1);
 }
 
 void FusedBatch::execute(std::int32_t idx, TileWorkspace& ws) {
-  HQR_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < op_offset_.back(),
-            "fused task " << idx << " out of range");
-  // Owning problem: the last offset <= idx (per-problem ops are contiguous).
-  const auto it = std::upper_bound(op_offset_.begin(), op_offset_.end(),
-                                   static_cast<std::size_t>(idx));
-  const std::size_t p = static_cast<std::size_t>(it - op_offset_.begin()) - 1;
-  QRFactors& f = factors_[p];
-  const std::size_t local = static_cast<std::size_t>(idx) - op_offset_[p];
-  execute_kernel(f.kernels()[local], f, ws);
+  HQR_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < size(),
+            "batch task " << idx << " out of range");
+  const auto p = static_cast<std::size_t>(idx);
+  TiledMatrix a = TiledMatrix::from_matrix(problems_[p], b_);
+  const int mt = a.mt();
+  const int nt = a.nt();
+  QRFactors f(std::move(a),
+              expand_to_kernels(elimination_for(tree_, mt, nt), mt, nt), ib_);
+  for (const KernelOp& op : f.kernels()) execute_kernel(op, f, ws);
+  rs_[p] = extract_r(f);
 }
 
-Matrix FusedBatch::r(std::size_t p) const {
-  HQR_CHECK(p < factors_.size(), "problem index " << p << " out of range");
-  return extract_r(factors_[p]);
+const Matrix& FusedBatch::r(std::size_t p) const {
+  HQR_CHECK(p < rs_.size(), "problem index " << p << " out of range");
+  return rs_[p];
 }
 
 }  // namespace hqr::serve

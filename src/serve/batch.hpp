@@ -1,22 +1,17 @@
-// Batched small problems: thousands of independent small QRs fused into
-// ONE task graph scheduled in ONE pass over the shared worker pool.
+// Batched small problems: a SubmitBatch's independent small QRs run as one
+// DAG on the shared worker pool, one task per problem and no edges.
 //
-// The fusion trick is a tile-namespace shift. Problem p's tiles live in
-// rows [row_offset_p, row_offset_p + mt_p) of a virtual
-// (sum mt_p) x (max nt_p) tile grid: every kernel op of problem p has its
-// `row`/`piv` shifted by row_offset_p while `k`/`j` stay put. Tile-row
-// ranges are disjoint across problems, so every tile access of problem p is
-// disjoint from every access of problem q != p — the TaskGraph built over
-// the concatenated kernel list is exactly the union of the per-problem
-// graphs with zero cross edges. One DagPool submission then schedules all
-// problems at once: no per-problem submission latency, no per-problem
-// graph-admission lock traffic, and tail tasks of one problem overlap head
-// tasks of the next.
+// Task p tiles problem p, expands its kernel list, runs that list in order
+// on the worker's TileWorkspace and keeps only R: the problem's tiles and T
+// factors die with the task. The problems are independent, so splitting a
+// problem of a few tiles into tile tasks would add no parallelism the
+// batch's other problems do not already give, and would pay the pool's
+// scheduling once per microsecond-sized kernel instead of once per problem.
+// The price is that each problem runs on one worker: a problem that needs
+// parallelism inside itself belongs in a SubmitQR.
 //
-// Each problem is still factored by its own QRFactors with its own
-// unshifted kernel list, so fused results are bit-identical to running the
-// problems one by one (the kernels and their relative order per problem are
-// unchanged; kernels of different problems touch disjoint memory).
+// R is bit-identical to qr_factorize_sequential's: both run the problem's
+// kernel list in list order.
 #pragma once
 
 #include <cstdint>
@@ -31,31 +26,33 @@ namespace hqr::serve {
 
 class FusedBatch {
  public:
-  // All problems share tile size b, inner block ib and tree choice (the
-  // homogeneity that makes one scheduler pass and one workspace per worker
-  // possible). Throws hqr::Error on an empty batch; shapes are expected to
-  // be pre-validated (validate_shape).
-  FusedBatch(const std::vector<Matrix>& problems, int b, TreeChoice tree,
-             int ib);
+  // All problems share tile size b, inner block ib and tree choice, so one
+  // per-worker workspace of size b serves every task. Throws hqr::Error on
+  // an empty batch or an ib outside [0, b]; shapes are expected to be
+  // pre-validated (validate_shape).
+  FusedBatch(std::vector<Matrix> problems, int b, TreeChoice tree, int ib);
 
-  std::size_t size() const { return factors_.size(); }
+  std::size_t size() const { return problems_.size(); }
   int b() const { return b_; }
 
-  // The fused dependency graph over all problems' kernels.
+  // size() independent tasks: task p factors problem p.
   const std::shared_ptr<const TaskGraph>& graph() const { return graph_; }
 
-  // Executes fused task `idx` against the owning problem's factors.
-  // Thread-safe for concurrent distinct indices (disjoint tiles).
+  // Factors problem `idx` and stores its R. Thread-safe for concurrent
+  // distinct indices.
   void execute(std::int32_t idx, TileWorkspace& ws);
 
-  // R of problem p, valid once every task has executed.
-  Matrix r(std::size_t p) const;
+  // R of problem p, and of every problem in order; valid once the
+  // problem's task has executed.
+  const Matrix& r(std::size_t p) const;
+  const std::vector<Matrix>& rs() const { return rs_; }
 
  private:
-  int b_ = 1;
-  std::vector<QRFactors> factors_;
-  std::vector<std::size_t> op_offset_;  // per-problem start in the fused
-                                        // list, plus end sentinel
+  std::vector<Matrix> problems_;
+  std::vector<Matrix> rs_;
+  int b_;
+  TreeChoice tree_;
+  int ib_;
   std::shared_ptr<const TaskGraph> graph_;
 };
 

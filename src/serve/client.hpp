@@ -67,8 +67,12 @@ class Client {
   // including ErrorCode::Cancelled after cancel(id) won the race.
   QROutcome wait_result(std::int32_t id);
 
-  // Many small problems fused into one scheduler pass server-side;
-  // returns one R per problem, in submission order. ib as in submit_qr.
+  // Many small problems in one request: the server runs each problem as
+  // one pool task, so a problem never uses more than one worker (send one
+  // that needs parallelism inside itself through submit_qr). The batch is
+  // scheduled one priority level below `priority`, so it never holds back
+  // a submit_qr of the same priority. Returns one R per problem, in
+  // submission order. ib as in submit_qr.
   std::vector<Matrix> submit_batch(const std::vector<Matrix>& problems, int b,
                                    int ib = 0,
                                    TreeChoice tree = TreeChoice::FlatTs,

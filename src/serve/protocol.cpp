@@ -23,6 +23,13 @@ std::int32_t get_i32(PayloadReader& r) {
   return v;
 }
 
+// Bytes put_matrix writes for `a`.
+std::size_t matrix_bytes(const Matrix& a) {
+  return 2 * sizeof(std::int32_t) + static_cast<std::size_t>(a.rows()) *
+                                        static_cast<std::size_t>(a.cols()) *
+                                        sizeof(double);
+}
+
 void put_matrix(PayloadWriter& w, const Matrix& a) {
   put_i32(w, a.rows());
   put_i32(w, a.cols());
@@ -236,6 +243,11 @@ QROutcome decode_result(const std::vector<std::uint8_t>& payload) {
 }
 
 void encode_submit_batch(const BatchJob& job, std::vector<std::uint8_t>& out) {
+  // A batch payload runs to megabytes: reserve it whole rather than let
+  // the vector grow (and copy) its way there.
+  std::size_t bytes = sizeof(std::int64_t) + 5 * sizeof(std::int32_t);
+  for (const Matrix& a : job.problems) bytes += matrix_bytes(a);
+  out.reserve(out.size() + bytes);
   PayloadWriter w(out);
   w.i64(job.tenant);
   put_i32(w, job.b);
@@ -285,6 +297,9 @@ std::optional<ErrorInfo> decode_submit_batch(
 
 void encode_batch_result(const std::vector<Matrix>& rs,
                          std::vector<std::uint8_t>& out) {
+  std::size_t bytes = sizeof(std::int32_t);
+  for (const Matrix& r : rs) bytes += matrix_bytes(r);
+  out.reserve(out.size() + bytes);
   PayloadWriter w(out);
   put_i32(w, static_cast<std::int32_t>(rs.size()));
   for (const Matrix& r : rs) put_matrix(w, r);

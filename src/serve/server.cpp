@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -613,23 +614,25 @@ struct Server::Impl {
     }
     note_tenant(job->tenant);
 
-    // ONE fused DAG, ONE scheduler pass for the whole batch.
-    auto fused = std::make_shared<FusedBatch>(job->problems, job->b, job->tree,
-                                              job->ib);
+    // One DAG for the whole batch, one pool task per problem.
+    auto fused = std::make_shared<FusedBatch>(std::move(job->problems), job->b,
+                                              job->tree, job->ib);
     const double t0 = monotonic_seconds();
     auto shared = s->shared;
     DagSubmitOptions sopts;
-    sopts.priority = job->priority;
+    // One pool priority level below the request's (saturating): the pool
+    // breaks ties by fewest tasks delivered, so at equal priority a freshly
+    // admitted batch would otherwise win every pick until it has delivered
+    // as many whole-problem tasks as the requests already in flight,
+    // holding their tasks back for up to about a millisecond.
+    sopts.priority = job->priority > INT32_MIN ? job->priority - 1 : INT32_MIN;
     sopts.on_done = [this, shared, id, fused, job, t0](DagId, bool cancelled) {
       if (cancelled) {
         finish_request(shared, id, job->tenant, /*cancelled=*/true, {});
         return;
       }
-      std::vector<Matrix> rs;
-      rs.reserve(fused->size());
-      for (std::size_t p = 0; p < fused->size(); ++p) rs.push_back(fused->r(p));
       std::vector<std::uint8_t> out;
-      encode_batch_result(rs, out);
+      encode_batch_result(fused->rs(), out);
       observe_latency("batch", t0);
       batch_problems.fetch_add(static_cast<long long>(fused->size()),
                                std::memory_order_relaxed);

@@ -7,7 +7,7 @@
 // connection a reader thread (frame parse -> validate -> submit to the
 // pool) and a writer thread (drains an outbox of encoded responses).
 // Factorization DAGs never run on connection threads — every SubmitQR,
-// fused batch and Q formation is a DAG submitted to the shared DagPool,
+// batch and Q formation is a DAG submitted to the shared DagPool,
 // whose completion callback encodes the response and enqueues it on the
 // owning connection's outbox. Requests from different connections and
 // tenants therefore interleave at task granularity, and a large request

@@ -69,8 +69,18 @@ TEST(FaultPaths, LaunchReportRecordsCleanExits) {
 
 TEST(FaultPaths, TermGraceLetsRanksExitCleanlyDuringTeardown) {
   const auto rank_main = [](net::Comm& comm) -> int {
-    if (comm.rank() == 0) return 9;  // first failure triggers teardown
+    if (comm.rank() == 0) {
+      // Fail only once rank 1 reports its handler installed: a SIGTERM that
+      // arrived before the handler would kill rank 1 by signal instead.
+      bool ready = false;
+      while (!ready) comm.pump(10, [&](net::Message&&) { ready = true; });
+      return 9;  // first failure triggers teardown
+    }
     std::signal(SIGTERM, [](int) { ::_exit(17); });
+    const std::int32_t installed = 1;
+    comm.set_eof_ok(true);  // rank 0 may exit as soon as the frame lands
+    comm.post(0, net::Tag::Data, 0, &installed, sizeof(installed));
+    while (!comm.flushed()) comm.pump(10, [](net::Message&&) {});
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   };
   net::LaunchOptions lopts;

@@ -101,7 +101,38 @@ TEST_P(ParallelQNarrow, AppliesToRealColumnsOnly) {
   }
 }
 
+// The dense form (C padded to whole tile rows only, as qr_solve uses it)
+// runs the same kernels on the same values as the tiled form.
+TEST_P(ParallelQNarrow, DenseMatchesTiledBitwise) {
+  const int nc = GetParam();
+  const int b = 8;
+  Rng rng(60 + nc);
+  QRFactors f = make_factors(random_gaussian(30, 17, rng), b);
+  const int pm = f.a().padded_m();
+  const Matrix c0 = random_gaussian(30, nc, rng);
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    for (int threads : {1, 4}) {
+      TiledMatrix tiled = TiledMatrix::from_matrix(c0, b);
+      apply_q_parallel(f, trans, tiled, ExecutorOptions{threads, true, true});
+      const Matrix want = tiled.to_padded_matrix();
+      Matrix dense(pm, nc);
+      copy(c0.view(), dense.block(0, 0, c0.rows(), nc));
+      apply_q_parallel(f, trans, dense.view(),
+                       ExecutorOptions{threads, true, true});
+      EXPECT_EQ(max_abs_diff(want.block(0, 0, pm, nc), dense.view()), 0.0);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, ParallelQNarrow, ::testing::Values(3, 11));
+
+TEST(ParallelQ, DenseWithoutWholeTileRowsThrows) {
+  Rng rng(46);
+  QRFactors f = make_factors(random_gaussian(10, 8, rng), 4);
+  Matrix c(10, 3);  // the factors' padded_m is 12
+  EXPECT_THROW(apply_q_parallel(f, Trans::Yes, c.view(), ExecutorOptions{2, true, true}),
+               Error);
+}
 
 TEST(ParallelQ, RoundTripThroughRuntime) {
   Rng rng(41);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.hpp"
@@ -169,6 +170,52 @@ TEST(Protocol, BatchRoundTripsAndValidates) {
   e = decode_submit_batch(wire, small_limits(), &back);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->code, ErrorCode::BadBatch);
+}
+
+TEST(Protocol, BatchEncodersAppendAfterAPrefix) {
+  // Both batch encoders reserve their exact size on top of what `out`
+  // already holds. The prefix must survive, the appended bytes must equal a
+  // fresh encoding, and the one reservation must have been exactly enough:
+  // reserve(n) on a vector allocates exactly n, so a miscount shows as a
+  // capacity above the final size (too much) or a regrowth (too little).
+  Rng rng(5);
+  BatchJob job;
+  job.tenant = 9;
+  job.b = 4;
+  for (int p = 0; p < 4; ++p)
+    job.problems.push_back(random_gaussian(2 + p, 3 + p % 2, rng));
+  const std::vector<std::uint8_t> prefix = {1, 2, 3, 4, 5};
+  const auto append = [&](const auto& encode) {
+    std::vector<std::uint8_t> fresh;
+    encode(fresh);
+    std::vector<std::uint8_t> out = prefix;
+    encode(out);
+    EXPECT_EQ(out.capacity(), out.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    std::vector<std::uint8_t> body(out.begin() + prefix.size(), out.end());
+    EXPECT_EQ(body, fresh);
+    return body;
+  };
+
+  const std::vector<std::uint8_t> request = append(
+      [&](std::vector<std::uint8_t>& out) { encode_submit_batch(job, out); });
+  BatchJob back;
+  ASSERT_FALSE(decode_submit_batch(request, ServerLimits{}, &back).has_value());
+  EXPECT_EQ(back.tenant, 9);
+  ASSERT_EQ(back.problems.size(), job.problems.size());
+  for (std::size_t p = 0; p < job.problems.size(); ++p)
+    EXPECT_EQ(back.problems[p].storage(), job.problems[p].storage());
+
+  const std::vector<std::uint8_t> reply =
+      append([&](std::vector<std::uint8_t>& out) {
+        encode_batch_result(job.problems, out);
+      });
+  const std::vector<Matrix> rs = decode_batch_result(reply);
+  ASSERT_EQ(rs.size(), job.problems.size());
+  for (std::size_t p = 0; p < rs.size(); ++p) {
+    EXPECT_EQ(rs[p].rows(), job.problems[p].rows());
+    EXPECT_EQ(rs[p].storage(), job.problems[p].storage());
+  }
 }
 
 TEST(Protocol, ResultStatusErrorRoundTrip) {

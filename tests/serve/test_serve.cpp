@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
 #include "runtime/dag_pool.hpp"
+#include "serve/batch.hpp"
 #include "serve/client.hpp"
 #include "trees/elimination.hpp"
 
@@ -29,9 +31,17 @@ ClientOptions client_opts(const Server& server) {
 }
 
 Matrix sequential_r(const Matrix& a, int b, TreeChoice tree, int ib = 0) {
-  TiledMatrix t = TiledMatrix::from_matrix(a, b);
-  return extract_r(qr_factorize_sequential(
-      a, b, elimination_for(tree, t.mt(), t.nt()), ib));
+  const int mt = TiledMatrix::tile_count(a.rows(), b);
+  const int nt = TiledMatrix::tile_count(a.cols(), b);
+  return extract_r(
+      qr_factorize_sequential(a, b, elimination_for(tree, mt, nt), ib));
+}
+
+// Same shape and the same doubles, bit for bit.
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.storage().data(), y.storage().data(),
+                     x.storage().size() * sizeof(double)) == 0;
 }
 
 TEST(Serve, EightConcurrentRequestsBitIdentical) {
@@ -164,15 +174,118 @@ TEST(Serve, BatchedSmallProblemsBitIdentical) {
   std::vector<Matrix> problems;
   for (int p = 0; p < 64; ++p)
     problems.push_back(random_gaussian(8 + p % 9, 4 + p % 5, rng));
-  std::vector<Matrix> rs = client.submit_batch(problems, 4);
-  ASSERT_EQ(rs.size(), problems.size());
-  for (std::size_t p = 0; p < problems.size(); ++p) {
-    Matrix want = sequential_r(problems[p], 4, TreeChoice::FlatTs);
-    EXPECT_EQ(max_abs_diff(want.view(), rs[p].view()), 0.0) << "problem " << p;
+  // Wide problems (n > m), a 1x1 and one exactly one tile in size.
+  for (int p = 0; p < 8; ++p)
+    problems.push_back(random_gaussian(1 + p % 4, 5 + p % 6, rng));
+  problems.push_back(random_gaussian(1, 1, rng));
+  problems.push_back(random_gaussian(4, 4, rng));
+  // The same batch at the default inner block, at ib = 1 and at ib = b.
+  const int b = 4;
+  const int ibs[] = {0, 1, b};
+  for (int ib : ibs) {
+    std::vector<Matrix> rs = client.submit_batch(problems, b, ib);
+    ASSERT_EQ(rs.size(), problems.size());
+    for (std::size_t p = 0; p < problems.size(); ++p)
+      EXPECT_TRUE(same_bits(rs[p],
+                            sequential_r(problems[p], b, TreeChoice::FlatTs, ib)))
+          << "problem " << p << " at ib " << ib;
   }
   ServerStatus st = server.status();
-  EXPECT_EQ(st.batches_accepted, 1);
-  EXPECT_EQ(st.batch_problems, 64);
+  EXPECT_EQ(st.batches_accepted, 3);
+  EXPECT_EQ(st.batch_problems, 3 * static_cast<long long>(problems.size()));
+  server.stop();
+}
+
+TEST(Serve, FusedBatchIsOneIndependentTaskPerProblem) {
+  Rng rng(43);
+  const int b = 4;
+  const int ib = 2;
+  std::vector<Matrix> problems;
+  for (int p = 0; p < 40; ++p)
+    problems.push_back(random_gaussian(1 + p % 13, 1 + p % 7, rng));
+  std::vector<Matrix> want;
+  for (const Matrix& a : problems)
+    want.push_back(sequential_r(a, b, TreeChoice::Greedy, ib));
+
+  // No task depends on another, so the reverse of the graph's order is a
+  // valid schedule too.
+  FusedBatch reversed(problems, b, TreeChoice::Greedy, ib);
+  ASSERT_EQ(reversed.size(), problems.size());
+  ASSERT_EQ(reversed.graph()->size(), static_cast<int>(problems.size()));
+  EXPECT_EQ(reversed.graph()->num_edges(), 0);
+  TileWorkspace ws(b);
+  for (int idx = reversed.graph()->size() - 1; idx >= 0; --idx)
+    reversed.execute(idx, ws);
+
+  FusedBatch pooled(problems, b, TreeChoice::Greedy, ib);
+  {
+    DagPoolOptions popts;
+    popts.threads = 4;
+    DagPool pool(popts);
+    const DagId id = pool.submit(
+        pooled.graph(), pooled.b(),
+        [&pooled](std::int32_t idx, TileWorkspace& w) {
+          pooled.execute(idx, w);
+        });
+    ASSERT_TRUE(pool.wait(id));
+  }
+
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    EXPECT_TRUE(same_bits(reversed.r(p), want[p])) << "reversed, problem " << p;
+    EXPECT_TRUE(same_bits(pooled.r(p), want[p])) << "pooled, problem " << p;
+  }
+}
+
+TEST(Serve, BatchYieldsToARequestOfTheSamePriority) {
+  ServerOptions sopts;
+  sopts.threads = 1;
+  Server server(sopts);
+  Client qr_client(client_opts(server));
+  Client batch_client(client_opts(server));
+
+  // Hold the pool's one worker on a plug (as in
+  // EightConcurrentRequestsBitIdentical) until a batch and then a SubmitQR
+  // of the same priority are both admitted.
+  std::promise<void> plug_started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  DagPool& pool = server.pool_for_testing();
+  const DagId plug = pool.submit(
+      std::make_shared<const TaskGraph>(
+          expand_to_kernels(elimination_for(TreeChoice::FlatTs, 1, 1), 1, 1),
+          1, 1),
+      8, [&plug_started, released](std::int32_t, TileWorkspace&) {
+        plug_started.set_value();
+        released.wait();
+      });
+  plug_started.get_future().wait();
+  const auto wait_active = [&](std::int64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (server.status().active_dags < n &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return server.status().active_dags;
+  };
+
+  Rng rng(47);
+  const std::vector<Matrix> problems = {random_gaussian(24, 16, rng)};
+  std::future<std::vector<Matrix>> batch = std::async(
+      std::launch::async, [&] { return batch_client.submit_batch(problems, 8); });
+  ASSERT_EQ(wait_active(2), 2);
+  const Matrix a = random_gaussian(512, 256, rng);
+  const std::int32_t id = qr_client.submit_qr_async(a, 32);
+  ASSERT_EQ(wait_active(3), 3);
+  release.set_value();
+  EXPECT_TRUE(pool.wait(plug));
+
+  // The batch was admitted first, yet every task of the request runs before
+  // the batch's one task: the request has completed when the batch replies.
+  ASSERT_EQ(batch.get().size(), 1u);
+  EXPECT_EQ(server.status().requests_completed, 2);
+  EXPECT_EQ(max_abs_diff(sequential_r(a, 32, TreeChoice::FlatTs).view(),
+                         qr_client.wait_result(id).r.view()),
+            0.0);
   server.stop();
 }
 

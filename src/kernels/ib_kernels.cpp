@@ -23,9 +23,9 @@ int check_panels(int b, int ib, ConstMatrixView t) {
 // panel's later columns jj = j + 1 .. end - 1.
 void panel_update(MatrixView a1, MatrixView a2, int j, int end, int rows,
                   double tau) {
-  const double* vj = a2.col(j).data;
+  const double* HQR_RESTRICT vj = a2.col(j).data;
   for (int jj = j + 1; jj < end; ++jj) {
-    double* cj = a2.col(jj).data;
+    double* HQR_RESTRICT cj = a2.col(jj).data;
     const double s = tau * (a1(j, jj) + dot(rows, vj, cj));
     a1(j, jj) -= s;
     for (int i = 0; i < rows; ++i) cj[i] -= s * vj[i];
@@ -38,7 +38,6 @@ void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
   const int b = ws.b();
   HQR_CHECK(a.rows == b && a.cols == b, "geqrt_ib expects b x b tiles");
   check_panels(b, ib, t);
-  MatrixView work = ws.vec();
 
   for (int j0 = 0; j0 < b; j0 += ib) {
     const int w = std::min(ib, b - j0);
@@ -55,10 +54,13 @@ void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
       a(j, j) = alpha;
       if (l + 1 < w && tau != 0.0) {
         MatrixView c = a.block(j, j + 1, below, w - l - 1);
-        larf_left(tau, x, c, work);
+        larf_left(tau, x, c);
       }
-      larft_column(v, l, tau, tp);
+      tp(l, l) = tau;
     }
+    // T once the panel's reflectors are final: off the column loop's
+    // larfg -> update chain, so the two latency chains do not interleave.
+    larft(v, tp);
     // Block-apply the panel reflector to the trailing tile columns.
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
@@ -104,17 +106,13 @@ void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
       const double tau = larfg(b + 1, alpha, v2j);
       a1(j, j) = alpha;
       if (tau != 0.0) panel_update(a1, a2, j, j0 + w, b, tau);
-      // T column l within the panel.
+      // T column l within the panel; the triangle multiplies wait for the
+      // panel (as in geqrt_ib).
       for (int i = 0; i < l; ++i)
         tp(i, l) = -tau * dot(b, a2.col(j0 + i).data, a2.col(j).data);
-      if (l > 0) {
-        MatrixView tl = tp.block(0, l, l, 1);
-        trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
-                  ConstMatrixView(tp.data, l, l, tp.ld), tl, ws.scratch(),
-                  ws.gemm_ws());
-      }
       tp(l, l) = tau;
     }
+    larft_finish(w, tp);
     // Block-apply the panel reflector to trailing columns of the pencil:
     // V = [E_p; V2p] with E_p the identity columns at panel rows.
     const int trailing = b - (j0 + w);
@@ -190,14 +188,9 @@ void ttqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
       for (int i = 0; i < l; ++i)
         tp(i, l) =
             -tau * dot(j0 + i + 1, a2.col(j0 + i).data, a2.col(j).data);
-      if (l > 0) {
-        MatrixView tl = tp.block(0, l, l, 1);
-        trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
-                  ConstMatrixView(tp.data, l, l, tp.ld), tl, ws.scratch(),
-                  ws.gemm_ws());
-      }
       tp(l, l) = tau;
     }
+    larft_finish(w, tp);
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
       const int rows = j0 + w;  // V2 panel support

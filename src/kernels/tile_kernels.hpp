@@ -37,7 +37,7 @@ namespace hqr {
 class TileWorkspace {
  public:
   explicit TileWorkspace(int b)
-      : b_(b), vec_(b, 1), scratch_size_(larfb_scratch_doubles(b, b, b)) {
+      : b_(b), scratch_size_(larfb_scratch_doubles(b, b, b)) {
     HQR_CHECK(b >= 1, "tile size must be >= 1");
     scratch_ = std::make_unique_for_overwrite<double[]>(scratch_size_);
     // First workspace in the process pulls in the per-host tuning cache
@@ -47,7 +47,6 @@ class TileWorkspace {
   }
 
   int b() const { return b_; }
-  MatrixView vec() { return vec_.view(); }
   // The kernels' compact copies, carved off the front in turn: the
   // W = V^T C product, a V panel (larfb_left's unit-lower copy, TTQRT/
   // TTMQR's zero-padded V2 panel) and trmm_left's dense triangle and
@@ -59,7 +58,6 @@ class TileWorkspace {
 
  private:
   int b_;
-  Matrix vec_;
   std::size_t scratch_size_;
   std::unique_ptr<double[]> scratch_;
   GemmWorkspace gemm_;

@@ -9,12 +9,6 @@
 namespace hqr {
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define HQR_RESTRICT __restrict__
-#else
-#define HQR_RESTRICT
-#endif
-
 void trmm_left_small(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
                      MatrixView b);
 
@@ -47,90 +41,6 @@ void copy_triangle(UpLo uplo, Diag diag, ConstMatrixView a, MatrixView d) {
   }
 }
 
-double dot(int n, const double* x, const double* y) {
-  double s[8] = {};
-  int i = 0;
-  for (; i + 8 <= n; i += 8)
-    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
-  // The tail by hand: as a loop, GCC vectorizes it behind shape checks that
-  // cost more than the few products, which shows on b = 8 tiles.
-  x += i;
-  y += i;
-  switch (n - i) {
-    case 7: s[6] += x[6] * y[6]; [[fallthrough]];
-    case 6: s[5] += x[5] * y[5]; [[fallthrough]];
-    case 5: s[4] += x[4] * y[4]; [[fallthrough]];
-    case 4: s[3] += x[3] * y[3]; [[fallthrough]];
-    case 3: s[2] += x[2] * y[2]; [[fallthrough]];
-    case 2: s[1] += x[1] * y[1]; [[fallthrough]];
-    case 1: s[0] += x[0] * y[0]; [[fallthrough]];
-    default: break;
-  }
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-}
-
-void gemv(Trans ta, double alpha, ConstMatrixView a, ConstMatrixView x,
-          double beta, MatrixView y) {
-  HQR_CHECK(x.cols == 1 && y.cols == 1, "gemv expects vectors");
-  const int m = ta == Trans::No ? a.rows : a.cols;
-  const int k = ta == Trans::No ? a.cols : a.rows;
-  HQR_CHECK(x.rows == k, "gemv inner dimension mismatch");
-  HQR_CHECK(y.rows == m, "gemv output shape mismatch");
-  double* HQR_RESTRICT yv = y.data;
-  const double* HQR_RESTRICT xv = x.data;
-
-  if (ta == Trans::No) {
-    if (beta == 0.0) {
-      for (int i = 0; i < m; ++i) yv[i] = 0.0;
-    } else if (beta != 1.0) {
-      for (int i = 0; i < m; ++i) yv[i] *= beta;
-    }
-    if (alpha == 0.0) return;
-    // Fused-column accumulation: four columns of A per sweep of y.
-    int l = 0;
-    for (; l + 4 <= k; l += 4) {
-      const double f0 = alpha * xv[l];
-      const double f1 = alpha * xv[l + 1];
-      const double f2 = alpha * xv[l + 2];
-      const double f3 = alpha * xv[l + 3];
-      const double* HQR_RESTRICT a0 =
-          a.data + static_cast<std::size_t>(l) * a.ld;
-      const double* HQR_RESTRICT a1 = a0 + a.ld;
-      const double* HQR_RESTRICT a2 = a1 + a.ld;
-      const double* HQR_RESTRICT a3 = a2 + a.ld;
-      for (int i = 0; i < m; ++i)
-        yv[i] += f0 * a0[i] + f1 * a1[i] + f2 * a2[i] + f3 * a3[i];
-    }
-    for (; l < k; ++l) {
-      const double f = alpha * xv[l];
-      const double* HQR_RESTRICT al =
-          a.data + static_cast<std::size_t>(l) * a.ld;
-      for (int i = 0; i < m; ++i) yv[i] += f * al[i];
-    }
-  } else {
-    // y(j) = beta*y(j) + alpha * dot(A(:, j), x): contiguous column dots.
-    for (int j = 0; j < m; ++j) {
-      const double s =
-          dot(k, a.data + static_cast<std::size_t>(j) * a.ld, xv);
-      const double base = beta == 0.0 ? 0.0 : beta * yv[j];
-      yv[j] = base + alpha * s;
-    }
-  }
-}
-
-void ger(double alpha, ConstMatrixView x, ConstMatrixView y, MatrixView a) {
-  HQR_CHECK(x.cols == 1 && y.cols == 1, "ger expects vectors");
-  HQR_CHECK(a.rows == x.rows && a.cols == y.rows, "ger shape mismatch");
-  if (alpha == 0.0) return;
-  const double* HQR_RESTRICT xv = x.data;
-  for (int j = 0; j < a.cols; ++j) {
-    const double f = alpha * y.data[j];
-    if (f == 0.0) continue;
-    double* HQR_RESTRICT aj = a.data + static_cast<std::size_t>(j) * a.ld;
-    for (int i = 0; i < a.rows; ++i) aj[i] += f * xv[i];
-  }
-}
-
 void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b,
                std::span<double> scratch, GemmWorkspace& ws) {
   if (!trmm_packs(a, b)) {
@@ -145,72 +55,96 @@ void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b,
   gemm(ta, Trans::No, 1.0, tri, bc, 0.0, b, ws);
 }
 
-void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
-               MatrixView b) {
-  HQR_CHECK(!trmm_packs(a, b),
-            "trmm_left of a " << a.rows << " x " << a.rows << " triangle and "
-                              << b.cols
-                              << " columns takes the dense path: pass scratch");
-  trmm_left_small(uplo, ta, diag, a, b);
-}
-
 std::size_t trmm_scratch_doubles(int k, int n) {
   return static_cast<std::size_t>(k) * (static_cast<std::size_t>(k) + n);
 }
 
 namespace {
 
-// Both triangular loops (trmm_left's scalar path, trsm_left) resolve
-// (uplo, trans) into one of four column-major loops up front: the trans
-// cases become contiguous column dots, the no-trans cases contiguous column
-// axpy updates. No per-element transpose branch (op_at) in any inner loop.
+// Eight doubles as one GCC vector: a zmm, two ymm or four xmm by target.
+typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
+constexpr int kLanes = 8;
+// Rows of the eight-column block trmm_left_small keeps on the stack (4 KB).
+// Under the packed backend every triangle the rule keeps here with eight or
+// more columns is smaller (k^2 n < 32768 needs k < 64 at n = 8); larger ones
+// only reach this path under the naive backend, the oracle.
+constexpr int kTrmmMaxK = 64;
+
+// x = op(A) x for one right-hand side, or eight of them as the lanes of a
+// Vec8 row: X is double or Vec8, and each lane keeps the scalar order
+// (rounding may differ, blas.hpp).
+// Both triangular loops (this and trsm_left) resolve (uplo, trans) into one
+// of four column-major loops up front: the trans cases become contiguous
+// column dots, the no-trans cases contiguous column axpy updates. No
+// per-element transpose branch (op_at) in any inner loop.
+template <class X>
+void trmm_columns(UpLo uplo, Trans ta, bool unit, ConstMatrixView a,
+                  X* HQR_RESTRICT x) {
+  const int n = a.rows;
+  if (ta == Trans::No && uplo == UpLo::Upper) {
+    // x = A x, A upper: column l contributes a(0:l, l) * x(l); ascending
+    // l leaves x(l) unread by earlier steps.
+    for (int l = 0; l < n; ++l) {
+      const double* HQR_RESTRICT al =
+          a.data + static_cast<std::size_t>(l) * a.ld;
+      const X xl = x[l];
+      for (int i = 0; i < l; ++i) x[i] += al[i] * xl;
+      if (!unit) x[l] = al[l] * xl;
+    }
+  } else if (ta == Trans::No && uplo == UpLo::Lower) {
+    // x = A x, A lower: descending l.
+    for (int l = n - 1; l >= 0; --l) {
+      const double* HQR_RESTRICT al =
+          a.data + static_cast<std::size_t>(l) * a.ld;
+      const X xl = x[l];
+      for (int i = l + 1; i < n; ++i) x[i] += al[i] * xl;
+      if (!unit) x[l] = al[l] * xl;
+    }
+  } else if (ta == Trans::Yes && uplo == UpLo::Upper) {
+    // x = A^T x, A upper (effective lower): x(i) = dot(a(0:i+1, i),
+    // x(0:i+1)); descending i keeps the inputs live.
+    for (int i = n - 1; i >= 0; --i) {
+      const double* HQR_RESTRICT ai =
+          a.data + static_cast<std::size_t>(i) * a.ld;
+      X s = unit ? x[i] : ai[i] * x[i];
+      for (int l = 0; l < i; ++l) s += ai[l] * x[l];
+      x[i] = s;
+    }
+  } else {
+    // x = A^T x, A lower (effective upper): ascending i.
+    for (int i = 0; i < n; ++i) {
+      const double* HQR_RESTRICT ai =
+          a.data + static_cast<std::size_t>(i) * a.ld;
+      X s = unit ? x[i] : ai[i] * x[i];
+      for (int l = i + 1; l < n; ++l) s += ai[l] * x[l];
+      x[i] = s;
+    }
+  }
+}
+
+// Eight columns of B at a time, transposed into Vec8 rows (one column per
+// lane), while the triangle fits kTrmmMaxK; the rest one column at a time.
 void trmm_left_small(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a,
                      MatrixView b) {
   const int n = a.rows;
   const bool unit = diag == Diag::Unit;
-
-  for (int j = 0; j < b.cols; ++j) {
-    double* HQR_RESTRICT x = b.data + static_cast<std::size_t>(j) * b.ld;
-    if (ta == Trans::No && uplo == UpLo::Upper) {
-      // x = A x, A upper: column l contributes a(0:l, l) * x(l); ascending
-      // l leaves x(l) unread by earlier steps.
-      for (int l = 0; l < n; ++l) {
-        const double* HQR_RESTRICT al =
-            a.data + static_cast<std::size_t>(l) * a.ld;
-        const double xl = x[l];
-        for (int i = 0; i < l; ++i) x[i] += al[i] * xl;
-        if (!unit) x[l] = al[l] * xl;
-      }
-    } else if (ta == Trans::No && uplo == UpLo::Lower) {
-      // x = A x, A lower: descending l.
-      for (int l = n - 1; l >= 0; --l) {
-        const double* HQR_RESTRICT al =
-            a.data + static_cast<std::size_t>(l) * a.ld;
-        const double xl = x[l];
-        for (int i = l + 1; i < n; ++i) x[i] += al[i] * xl;
-        if (!unit) x[l] = al[l] * xl;
-      }
-    } else if (ta == Trans::Yes && uplo == UpLo::Upper) {
-      // x = A^T x, A upper (effective lower): x(i) = dot(a(0:i+1, i),
-      // x(0:i+1)); descending i keeps the inputs live.
-      for (int i = n - 1; i >= 0; --i) {
-        const double* HQR_RESTRICT ai =
-            a.data + static_cast<std::size_t>(i) * a.ld;
-        double s = unit ? x[i] : ai[i] * x[i];
-        for (int l = 0; l < i; ++l) s += ai[l] * x[l];
-        x[i] = s;
-      }
-    } else {
-      // x = A^T x, A lower (effective upper): ascending i.
-      for (int i = 0; i < n; ++i) {
-        const double* HQR_RESTRICT ai =
-            a.data + static_cast<std::size_t>(i) * a.ld;
-        double s = unit ? x[i] : ai[i] * x[i];
-        for (int l = i + 1; l < n; ++l) s += ai[l] * x[l];
-        x[i] = s;
-      }
+  int j = 0;
+  if (n <= kTrmmMaxK) {
+    Vec8 x[kTrmmMaxK];
+    for (; j + kLanes <= b.cols; j += kLanes) {
+      double* bj = b.data + static_cast<std::size_t>(j) * b.ld;
+      for (int c = 0; c < kLanes; ++c)
+        for (int r = 0; r < n; ++r)
+          x[r][c] = bj[static_cast<std::size_t>(c) * b.ld + r];
+      trmm_columns(uplo, ta, unit, a, x);
+      for (int c = 0; c < kLanes; ++c)
+        for (int r = 0; r < n; ++r)
+          bj[static_cast<std::size_t>(c) * b.ld + r] = x[r][c];
     }
   }
+  for (; j < b.cols; ++j)
+    trmm_columns(uplo, ta, unit, a,
+                 b.data + static_cast<std::size_t>(j) * b.ld);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Built from scratch (no external BLAS in this environment). GEMM lives in
 // linalg/gemm.hpp (cache-blocked packed core + naive oracle); this header
-// holds the triangular, vector and rank-1 primitives. All loops are
+// holds the triangular and vector primitives. All loops are
 // transpose-resolved up front so the inner loops walk contiguous
 // column-major memory with no per-element branches.
 #pragma once
@@ -19,20 +19,30 @@ namespace hqr {
 // ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)). Eight independent
 // chains vectorize without -ffast-math, and the order depends only on n, so
 // every thread, rank and micro-kernel ISA gets the same bits. Every dot in
-// the panel kernels, larft_column and gemv goes through it.
-double dot(int n, const double* x, const double* y);
-
-// y = alpha * op(A) * x + beta * y   (x, y are n x 1 views). Dedicated
-// fused-column implementation (does not route through gemm): the No-trans
-// path accumulates four columns of A per sweep of y, the trans path is one
-// fixed-order dot (above) per column. Both orders depend only on the
-// shapes, so every thread, rank and micro-kernel ISA gets the same bits.
-// Used by the Householder kernels.
-void gemv(Trans ta, double alpha, ConstMatrixView a, ConstMatrixView x,
-          double beta, MatrixView y);
-
-// Rank-1 update A += alpha * x * y^T (x m-vector, y n-vector).
-void ger(double alpha, ConstMatrixView x, ConstMatrixView y, MatrixView a);
+// the panel kernels, larfg, larf_left and larft goes through it.
+// Inline, so the panel loops pay no call (and no spill of their live
+// registers) per dot.
+inline double dot(int n, const double* x, const double* y) {
+  double s[8] = {};
+  int i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
+  // The tail by hand: as a loop, GCC vectorizes it behind shape checks that
+  // cost more than the few products, which shows on b = 8 tiles.
+  x += i;
+  y += i;
+  switch (n - i) {
+    case 7: s[6] += x[6] * y[6]; [[fallthrough]];
+    case 6: s[5] += x[5] * y[5]; [[fallthrough]];
+    case 5: s[4] += x[4] * y[4]; [[fallthrough]];
+    case 4: s[3] += x[3] * y[3]; [[fallthrough]];
+    case 3: s[2] += x[2] * y[2]; [[fallthrough]];
+    case 2: s[1] += x[1] * y[1]; [[fallthrough]];
+    case 1: s[0] += x[0] * y[0]; [[fallthrough]];
+    default: break;
+  }
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
 
 enum class UpLo { Upper, Lower };
 enum class Diag { NonUnit, Unit };
@@ -46,19 +56,20 @@ enum class Diag { NonUnit, Unit };
 // dense copy of the triangle (explicit zeros, and an explicit unit diagonal
 // under Diag::Unit) and a copy of B, both in `scratch`, which must then
 // hold trmm_scratch_doubles(k, n) entries. Otherwise, and always under the
-// naive backend (the oracle), scalar column loops run in place and
-// `scratch` is not touched. The choice depends only on shapes and the
-// backend, never on the micro-kernel ISA, so every caller computes the same
-// bits for the same operands. Below the threshold (b = 8 tiles, ib = 16 at
-// b = 64, single columns) packing costs more than it saves.
+// naive backend (the oracle), column loops run in place and `scratch` is
+// not touched: eight columns of B at a time, one per lane of a vector
+// staged on the stack, while k <= 64, and the rest one column at a time.
+// Both keep the scalar loop's order of operations, but the lanes fuse every
+// multiply-add, while GCC may compile the one-column dot loops (op(A) =
+// A^T) as in-order sums of separately rounded products, so the two can
+// differ in the last bits. Which one a column takes, like the choice
+// between the paths, depends only on shapes and the backend, never on the
+// micro-kernel ISA, so every caller computes the same bits for the same
+// operands. Below the
+// threshold (b = 8 tiles, ib = 16 at b = 64) packing costs more than it
+// saves.
 void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b,
                std::span<double> scratch, GemmWorkspace& ws);
-
-// The same product for shapes the rule above keeps on the scalar loops
-// (larft_column's single T columns, small triangles, any shape under the
-// naive backend); throws for a shape that would take the dense path, which
-// needs the scratch-taking form.
-void trmm_left(UpLo uplo, Trans ta, Diag diag, ConstMatrixView a, MatrixView b);
 
 // Scratch entries trmm_left's dense path needs for a k x k triangle and a
 // k x n B: k (k + n).

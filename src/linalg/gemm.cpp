@@ -10,12 +10,6 @@
 namespace hqr {
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define HQR_RESTRICT __restrict__
-#else
-#define HQR_RESTRICT
-#endif
-
 // The micro-tile shape (mr x nr) comes from the runtime-dispatched
 // micro-kernel (linalg/micro_kernel.hpp): the registry picks the widest
 // accumulator file the CPU supports, overridable with HQR_KERNEL_ISA.
@@ -190,48 +184,99 @@ void packed_impl(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   }
 }
 
-// Direct transpose-resolved loops for problems too small to amortize
-// packing (narrow ib panels, T-factor updates, fringe blocks). C += only;
-// beta already applied.
+// Eight doubles as one GCC vector: a zmm, two ymm or four xmm by target.
+// Loads and stores go through memcpy, so operands need no alignment.
+typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
+constexpr int kVecRows = 8;
+// Depth of the transposed op(A) = A^T block small_impl keeps on the stack
+// (16 KB): every tile up to b = 256.
+constexpr int kDirectMaxK = 256;
+
+// Direct loops for problems too small to amortize packing (b = 8 tiles,
+// narrow ib panels, T-factor updates, fringe blocks). C += only; beta
+// already applied. Every C element gets one fixed order:
+//   op(A) = A:   c(i, j) += (alpha b(l, j)) a(i, l) over ascending l,
+//                skipping b(l, j) == 0;
+//   op(A) = A^T: c(i, j) += alpha s, s the chain s += a(l, i) b(l, j) over
+//                ascending l from 0.
+// Each whole 8-row block of C holds a column in one Vec8 across the k loop;
+// under A^T its 8 columns of A are first transposed into `at`, so a C
+// column is eight independent chains. Fringe rows, and A^T deeper than
+// kDirectMaxK, run the same orders one row at a time; there GCC may
+// compile the A^T chains as in-order sums of separately rounded products
+// where the blocks fuse each multiply-add. Which rows take which loop
+// depends only on the shape.
 void small_impl(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                 ConstMatrixView b, MatrixView c, int m, int n, int k) {
+  // op(B)(l, j) = bcol(j)[l * bstride].
+  const std::size_t bstride = tb == Trans::No ? 1 : b.ld;
+  const auto bcol = [&](int j) {
+    return b.data + (tb == Trans::No ? static_cast<std::size_t>(j) * b.ld
+                                     : static_cast<std::size_t>(j));
+  };
+  int i0 = 0;
   if (ta == Trans::No) {
-    for (int j = 0; j < n; ++j) {
-      double* HQR_RESTRICT cj = c.data + static_cast<std::size_t>(j) * c.ld;
+    for (; i0 + kVecRows <= m; i0 += kVecRows)
+      for (int j = 0; j < n; ++j) {
+        const double* HQR_RESTRICT bj = bcol(j);
+        double* HQR_RESTRICT cj =
+            c.data + static_cast<std::size_t>(j) * c.ld + i0;
+        Vec8 acc;
+        std::memcpy(&acc, cj, sizeof acc);
+        for (int l = 0; l < k; ++l) {
+          const double blj = bj[l * bstride];
+          if (blj == 0.0) continue;
+          Vec8 al;
+          std::memcpy(&al, a.data + static_cast<std::size_t>(l) * a.ld + i0,
+                      sizeof al);
+          acc += (alpha * blj) * al;
+        }
+        std::memcpy(cj, &acc, sizeof acc);
+      }
+  } else if (k <= kDirectMaxK) {
+    alignas(64) double at[kDirectMaxK * kVecRows];
+    for (; i0 + kVecRows <= m; i0 += kVecRows) {
+      for (int r = 0; r < kVecRows; ++r) {
+        const double* HQR_RESTRICT ai =
+            a.data + static_cast<std::size_t>(i0 + r) * a.ld;
+        for (int l = 0; l < k; ++l) at[l * kVecRows + r] = ai[l];
+      }
+      for (int j = 0; j < n; ++j) {
+        const double* HQR_RESTRICT bj = bcol(j);
+        Vec8 s = {};
+        for (int l = 0; l < k; ++l) {
+          Vec8 al;
+          std::memcpy(&al, at + l * kVecRows, sizeof al);
+          s += al * bj[l * bstride];
+        }
+        double* HQR_RESTRICT cj =
+            c.data + static_cast<std::size_t>(j) * c.ld + i0;
+        Vec8 cv;
+        std::memcpy(&cv, cj, sizeof cv);
+        cv += alpha * s;
+        std::memcpy(cj, &cv, sizeof cv);
+      }
+    }
+  }
+  if (i0 == m) return;
+  for (int j = 0; j < n; ++j) {
+    const double* HQR_RESTRICT bj = bcol(j);
+    double* HQR_RESTRICT cj = c.data + static_cast<std::size_t>(j) * c.ld;
+    if (ta == Trans::No) {
       for (int l = 0; l < k; ++l) {
-        const double blj =
-            tb == Trans::No
-                ? b.data[static_cast<std::size_t>(j) * b.ld + l]
-                : b.data[static_cast<std::size_t>(l) * b.ld + j];
+        const double blj = bj[l * bstride];
         if (blj == 0.0) continue;
         const double f = alpha * blj;
         const double* HQR_RESTRICT al =
             a.data + static_cast<std::size_t>(l) * a.ld;
-        for (int i = 0; i < m; ++i) cj[i] += f * al[i];
+        for (int i = i0; i < m; ++i) cj[i] += f * al[i];
       }
-    }
-  } else if (tb == Trans::No) {
-    for (int j = 0; j < n; ++j) {
-      double* HQR_RESTRICT cj = c.data + static_cast<std::size_t>(j) * c.ld;
-      const double* HQR_RESTRICT bj =
-          b.data + static_cast<std::size_t>(j) * b.ld;
-      for (int i = 0; i < m; ++i) {
+    } else {
+      for (int i = i0; i < m; ++i) {
         const double* HQR_RESTRICT ai =
             a.data + static_cast<std::size_t>(i) * a.ld;
         double s = 0.0;
-        for (int l = 0; l < k; ++l) s += ai[l] * bj[l];
-        cj[i] += alpha * s;
-      }
-    }
-  } else {
-    for (int j = 0; j < n; ++j) {
-      double* HQR_RESTRICT cj = c.data + static_cast<std::size_t>(j) * c.ld;
-      for (int i = 0; i < m; ++i) {
-        const double* HQR_RESTRICT ai =
-            a.data + static_cast<std::size_t>(i) * a.ld;
-        double s = 0.0;
-        for (int l = 0; l < k; ++l)
-          s += ai[l] * b.data[static_cast<std::size_t>(l) * b.ld + j];
+        for (int l = 0; l < k; ++l) s += ai[l] * bj[l * bstride];
         cj[i] += alpha * s;
       }
     }

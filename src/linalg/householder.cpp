@@ -6,9 +6,7 @@
 
 namespace hqr {
 
-double larfg(int n, double& alpha, MatrixView x) {
-  HQR_CHECK(x.cols == 1 && x.rows == n - 1, "larfg shape mismatch");
-  if (n <= 1) return 0.0;
+double detail::larfg_slow(double& alpha, MatrixView x) {
   const double xnorm = nrm2(x);
   if (xnorm == 0.0) return 0.0;  // already in the desired form
 
@@ -33,53 +31,47 @@ double larfg(int n, double& alpha, MatrixView x) {
   return tau;
 }
 
-void larf_left(double tau, ConstMatrixView v_tail, MatrixView c,
-               MatrixView work) {
-  if (tau == 0.0) return;
-  const int m = c.rows;
-  const int n = c.cols;
-  HQR_CHECK(v_tail.cols == 1 && v_tail.rows == m - 1, "larf shape mismatch");
-  HQR_CHECK(work.rows >= n && work.cols == 1, "larf work too small");
-  MatrixView w = work.block(0, 0, n, 1);
-
-  // w = C^T * v  (v(0) = 1 implicit): the tail rows are one fused gemv,
-  // then the implicit unit adds C's top row.
-  if (m > 1) {
-    gemv(Trans::Yes, 1.0, c.block(1, 0, m - 1, n), v_tail, 0.0, w);
-    for (int j = 0; j < n; ++j) w(j, 0) += c(0, j);
-  } else {
-    for (int j = 0; j < n; ++j) w(j, 0) = c(0, j);
+void larft(ConstMatrixView v, MatrixView t) {
+  const int m = v.rows;
+  const int k = v.cols;
+  HQR_CHECK(m >= k && t.rows >= k && t.cols >= k, "larft shape mismatch");
+  // t(0:j, j) = -tau_j V(:, 0:j)^T v_j, exploiting the unit-lower structure:
+  // v_j has its implicit 1 at row j and stored entries in rows j+1..m-1.
+  for (int j = 1; j < k; ++j) {
+    const double tau = t(j, j);
+    if (tau == 0.0) {
+      for (int i = 0; i < j; ++i) t(i, j) = 0.0;
+      continue;
+    }
+    const double* vj = v.data + static_cast<std::size_t>(j) * v.ld + j + 1;
+    for (int i = 0; i < j; ++i) {
+      // Column i of V: implicit 1 at row i, stored entries rows i+1..m-1.
+      // Row j of column i times the implicit v_j(j) = 1, plus the rows
+      // below.
+      const double* vi = v.data + static_cast<std::size_t>(i) * v.ld + j + 1;
+      t(i, j) = -tau * (v(j, i) + dot(m - j - 1, vi, vj));
+    }
   }
-  // C -= tau * v * w^T: top row explicitly, tail rows as a rank-1 ger.
-  for (int j = 0; j < n; ++j) c(0, j) -= tau * w(j, 0);
-  if (m > 1) ger(-tau, v_tail, w, c.block(1, 0, m - 1, n));
+  larft_finish(k, t);
 }
 
-void larft_column(ConstMatrixView v, int j, double tau, MatrixView t) {
-  const int m = v.rows;
-  HQR_CHECK(j >= 0 && j < v.cols && t.rows >= j + 1 && t.cols >= j + 1,
-            "larft shape mismatch");
-  if (tau == 0.0) {
-    for (int i = 0; i < j; ++i) t(i, j) = 0.0;
-    t(j, j) = 0.0;
-    return;
+void larft_finish(int k, MatrixView t) {
+  HQR_CHECK(k >= 0 && t.rows >= k && t.cols >= k, "larft shape mismatch");
+  const std::size_t ld = static_cast<std::size_t>(t.ld);
+  // Column l times the triangle T(0:l, 0:l) that ascending l has already
+  // finished, in place, one row at a time in ascending i: x(i) = T(i, i)
+  // x(i) + T(i, c) x(c) over ascending c > i reads only the x(c) not yet
+  // overwritten. Each x(i) gets trmm_left's scalar order, and the rows are
+  // independent chains.
+  for (int l = 1; l < k; ++l) {
+    const double* HQR_RESTRICT tt = t.data;  // columns 0..l-1, read only
+    double* HQR_RESTRICT x = t.data + static_cast<std::size_t>(l) * ld;
+    for (int i = 0; i < l; ++i) {
+      double s = tt[i * ld + i] * x[i];
+      for (int c = i + 1; c < l; ++c) s += tt[c * ld + i] * x[c];
+      x[i] = s;
+    }
   }
-  // t(0:j, j) = -tau * V(:, 0:j)^T * v_j, exploiting the unit-lower structure:
-  // v_j has implicit 1 at row j and stored entries in rows j+1..m-1.
-  const double* vj = v.data + static_cast<std::size_t>(j) * v.ld + j + 1;
-  for (int i = 0; i < j; ++i) {
-    // Column i of V: implicit 1 at row i, stored entries rows i+1..m-1.
-    // Row j of column i times the implicit v_j(j) = 1, plus the rows below.
-    const double* vi = v.data + static_cast<std::size_t>(i) * v.ld + j + 1;
-    t(i, j) = -tau * (v(j, i) + dot(m - j - 1, vi, vj));
-  }
-  // t(0:j, j) = T(0:j, 0:j) * t(0:j, j)   (triangular multiply, in place).
-  if (j > 0) {
-    MatrixView tj = t.block(0, j, j, 1);
-    trmm_left(UpLo::Upper, Trans::No, Diag::NonUnit,
-              ConstMatrixView(t.data, j, j, t.ld), tj);
-  }
-  t(j, j) = tau;
 }
 
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,

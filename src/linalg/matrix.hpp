@@ -10,6 +10,13 @@
 
 #include "common/check.hpp"
 
+// No-alias qualifier for the kernels' raw column pointers.
+#if defined(__GNUC__) || defined(__clang__)
+#define HQR_RESTRICT __restrict__
+#else
+#define HQR_RESTRICT
+#endif
+
 namespace hqr {
 
 struct ConstMatrixView;

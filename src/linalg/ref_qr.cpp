@@ -12,7 +12,6 @@ namespace {
 // already factored; appends taus. Applies reflectors only within the panel.
 void factor_panel(Matrix& a, int j0, int w, std::vector<double>& tau) {
   const int m = a.rows();
-  Matrix work(a.cols(), 1);
   for (int j = j0; j < j0 + w; ++j) {
     const int rows_below = m - j;
     double alpha = a(j, j);
@@ -26,7 +25,7 @@ void factor_panel(Matrix& a, int j0, int w, std::vector<double>& tau) {
     if (trailing > 0 && t != 0.0) {
       // Temporarily treat a(j,j) as the implicit 1.
       MatrixView c = a.block(j, j + 1, rows_below, trailing);
-      larf_left(t, x, c, work.view());
+      larf_left(t, x, c);
     }
   }
 }
@@ -39,7 +38,6 @@ RefQR ref_qr_unblocked(const Matrix& a) {
   qr.tau.reserve(k);
   const int m = a.rows();
   const int n = a.cols();
-  Matrix work(n, 1);
   for (int j = 0; j < k; ++j) {
     const int rows_below = m - j;
     double alpha = qr.a(j, j);
@@ -50,7 +48,7 @@ RefQR ref_qr_unblocked(const Matrix& a) {
     qr.tau.push_back(t);
     if (j + 1 < n && t != 0.0) {
       MatrixView c = qr.a.block(j, j + 1, rows_below, n - j - 1);
-      larf_left(t, x, c, work.view());
+      larf_left(t, x, c);
     }
   }
   return qr;
@@ -75,7 +73,8 @@ RefQR ref_qr_blocked(const Matrix& a, int nb) {
       ConstMatrixView v = qr.a.block(j0, j0, m - j0, w);
       MatrixView tw = t.block(0, 0, w, w);
       for (int j = 0; j < w; ++j)
-        larft_column(v, j, qr.tau[static_cast<std::size_t>(j0) + j], tw);
+        tw(j, j) = qr.tau[static_cast<std::size_t>(j0) + j];
+      larft(v, tw);
       MatrixView c = qr.a.block(j0, j0 + w, m - j0, trailing);
       larfb_left(Trans::Yes, v, tw, c);
     }
@@ -88,7 +87,6 @@ Matrix ref_form_q(const RefQR& qr) {
   const int k = qr.k();
   Matrix q(m, k);
   set_identity(q.view());
-  Matrix work(k, 1);
   // Apply H_0 H_1 ... H_{k-1} to I by processing reflectors in reverse.
   for (int j = k - 1; j >= 0; --j) {
     const double tau = qr.tau[j];
@@ -97,7 +95,7 @@ Matrix ref_form_q(const RefQR& qr) {
     ConstMatrixView x = rows_below > 1 ? qr.a.block(j + 1, j, rows_below - 1, 1)
                                        : ConstMatrixView(nullptr, 0, 1, 1);
     MatrixView c = q.block(j, j, rows_below, k - j);
-    larf_left(tau, x, c, work.view());
+    larf_left(tau, x, c);
   }
   return q;
 }
@@ -106,7 +104,6 @@ void ref_apply_q(const RefQR& qr, Trans trans, MatrixView c) {
   const int m = qr.rows();
   const int k = qr.k();
   HQR_CHECK(c.rows == m, "apply_q row mismatch");
-  Matrix work(c.cols, 1);
   // Q = H_0 ... H_{k-1}; Q^T applies them forward, Q applies them reversed.
   const int start = trans == Trans::Yes ? 0 : k - 1;
   const int stop = trans == Trans::Yes ? k : -1;
@@ -118,7 +115,7 @@ void ref_apply_q(const RefQR& qr, Trans trans, MatrixView c) {
     ConstMatrixView x = rows_below > 1 ? qr.a.block(j + 1, j, rows_below - 1, 1)
                                        : ConstMatrixView(nullptr, 0, 1, 1);
     MatrixView cc = c.block(j, 0, rows_below, c.cols);
-    larf_left(tau, x, cc, work.view());
+    larf_left(tau, x, cc);
   }
 }
 

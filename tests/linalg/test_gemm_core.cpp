@@ -3,11 +3,14 @@
 // empty/degenerate shapes, micro-tile fringes, cache-block boundaries
 // (with blocking shrunk so multi-block loops actually run), all four
 // transpose combinations, the specialized beta in {0, 1} paths, and the
-// small-problem direct path.
+// small-problem direct path (its 8-row vector blocks and fringes on
+// strided views included).
 #include "linalg/gemm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -96,6 +99,54 @@ TEST_F(GemmCore, DefaultBlockingLargeAndStridedViews) {
       EXPECT_EQ(cbig(0, 0), cref(0, 0));
       EXPECT_EQ(cbig(m + 8, n + 3), cref(m + 8, n + 3));
     }
+}
+
+// The direct path on strided sub-views: every operand sits inside a larger
+// matrix of NaN (ld > rows), so a load outside a view shows up as NaN in C
+// and a store outside C's view overwrites a NaN. m and n straddle the
+// 8-row vector block (7, 8, 9, 17); k = 300 runs past the 256-deep
+// transposed block of op(A) = A^T. Only shapes that stay direct are swept.
+TEST_F(GemmCore, DirectPathStridedViewsInNaN) {
+  Rng rng(4242);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A view of `rows` x `cols` Gaussian entries at (2, 1) of a NaN matrix.
+  const auto embedded = [&](int rows, int cols) {
+    Matrix big(rows + 5, cols + 3);
+    big.fill(nan);
+    copy(random_gaussian(rows, cols, rng).view(),
+         big.view().block(2, 1, rows, cols));
+    return big;
+  };
+  for (Trans ta : {Trans::No, Trans::Yes})
+    for (Trans tb : {Trans::No, Trans::Yes})
+      for (int m : {7, 8, 9, 17})
+        for (int n : {7, 8, 9, 17})
+          for (int k : {1, 5, 8, 40, 300}) {
+            if (gemm_packs(m, n, k)) continue;
+            const int ar = ta == Trans::No ? m : k, ac = ta == Trans::No ? k : m;
+            const int br = tb == Trans::No ? k : n, bc = tb == Trans::No ? n : k;
+            const Matrix abig = embedded(ar, ac), bbig = embedded(br, bc);
+            Matrix cbig = embedded(m, n);
+            Matrix cref = cbig;
+            const ConstMatrixView a = abig.block(2, 1, ar, ac);
+            const ConstMatrixView b = bbig.block(2, 1, br, bc);
+            gemm(ta, tb, -0.75, a, b, 1.0, cbig.view().block(2, 1, m, n));
+            gemm_naive(ta, tb, -0.75, a, b, 1.0,
+                       cref.view().block(2, 1, m, n));
+            EXPECT_LE(max_abs_diff(cbig.block(2, 1, m, n),
+                                   cref.block(2, 1, m, n)),
+                      tol(k))
+                << "m=" << m << " n=" << n << " k=" << k
+                << " ta=" << (ta == Trans::Yes) << " tb=" << (tb == Trans::Yes);
+            for (int j = 0; j < n + 3; ++j)
+              for (int i = 0; i < m + 5; ++i) {
+                const bool inside = i >= 2 && i < m + 2 && j >= 1 && j < n + 1;
+                EXPECT_EQ(std::isnan(cbig(i, j)), !inside)
+                    << "(" << i << "," << j << ") m=" << m << " n=" << n
+                    << " k=" << k << " ta=" << (ta == Trans::Yes)
+                    << " tb=" << (tb == Trans::Yes);
+              }
+          }
 }
 
 TEST_F(GemmCore, WorkspaceIsReusableAcrossShapes) {

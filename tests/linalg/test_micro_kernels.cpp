@@ -204,10 +204,13 @@ TEST_F(MicroKernels, TileKernelsBitIdenticalToPortable) {
   // The same contract one layer up: the panel loops, dots and norms do not
   // depend on the micro-kernel, and every product the kernels hand to GEMM
   // (the dense-triangle multiplies included) is bit-identical across
-  // variants, so the six kernels are too. (64, 16) keeps the triangle
-  // multiplies on the scalar loops, (200, 32) sends them through GEMM.
+  // variants, so the six kernels are too. (8, 8), the serve batches' tiles,
+  // keeps every product on the direct GEMM path and the eight-lane triangle
+  // loops; (64, 16) keeps the triangle multiplies on those loops; (32, 32),
+  // the serve requests' tiles, and (200, 32) send them through GEMM.
   set_gemm_blocking(GemmBlocking{});
-  for (const auto& [b, ib] : {std::pair{64, 16}, std::pair{200, 32}}) {
+  for (const auto& [b, ib] : {std::pair{8, 8}, std::pair{32, 32},
+                              std::pair{64, 16}, std::pair{200, 32}}) {
     ASSERT_TRUE(set_active_micro_kernel("portable"));
     const std::vector<Matrix> ref = run_tile_kernels(b, ib);
     for (const MicroKernel& k : micro_kernel_registry()) {

@@ -31,6 +31,9 @@
 // With --progress, ranks stream telemetry heartbeats to rank 0, which
 // prints live per-rank progress (tasks done, send-queue depth, data
 // traffic) on stderr while the DAG executes.
+//
+// Rank 0 prints every rank's traffic and its phase split: tiling, plan plus
+// clock sync, engine, post-engine flush, gather and Bye.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -197,6 +200,21 @@ int main(int argc, char** argv) {
           .add(r.data_bytes_sent)
           .add(r.data_messages_recv);
     t.print(std::cout);
+
+    // Where each rank's time went. A rank > 0 ships its split in its Stats
+    // frame, before it awaits Bye, so its bye column reads 0 here.
+    TextTable ph({"rank", "tiling ms", "plan+sync ms", "engine ms",
+                  "flush ms", "gather ms", "bye ms"});
+    for (const distrun::DistRankStats& r : stats.ranks)
+      ph.row()
+          .add(r.rank)
+          .add(1e3 * r.phases.tiling, 3)
+          .add(1e3 * r.phases.plan_sync, 3)
+          .add(1e3 * r.phases.engine, 3)
+          .add(1e3 * r.phases.flush, 3)
+          .add(1e3 * r.phases.gather, 3)
+          .add(1e3 * r.phases.bye, 3);
+    ph.print(std::cout);
 
     // Measured traffic vs the simulator's model, same graph + distribution.
     long long measured_msgs = 0;

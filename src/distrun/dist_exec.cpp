@@ -56,6 +56,13 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                             const Distribution& dist, const DistOptions& opts,
                             DistStats* stats) {
   Stopwatch wall;
+  DistPhases phases;
+  double phase_start = 0.0;
+  const auto end_phase = [&](double& phase) {
+    const double now = wall.seconds();
+    phase = now - phase_start;
+    phase_start = now;
+  };
   const int me = comm.rank();
   const int nranks = comm.size();
   HQR_CHECK(dist.nodes() == nranks,
@@ -65,6 +72,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
   // Every rank rebuilds the same graph and plan from the same inputs — the
   // structures are never shipped, only tile data is.
   TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
+  end_phase(phases.tiling);
   const int mt = tiled.mt(), nt = tiled.nt();
   KernelList kernels = expand_to_kernels(list, mt, nt);
   TaskGraph graph(kernels, mt, nt);
@@ -111,8 +119,8 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
   // flag flips; hooks on the same phase's pump read them after.
   std::atomic<bool> stats_posted{false};
   std::atomic<bool> bye_posted{false};
-  std::vector<std::uint8_t> stats_payload;
-  std::vector<std::uint8_t> gather_payload;
+  net::Payload stats_payload;
+  net::Payload gather_payload;
   const auto note_failure = [&](int who) {
     fault_activity.fetch_add(1, std::memory_order_relaxed);
     if (opts.fault.on_failure) {
@@ -145,8 +153,8 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
     hooks.on_peer_replaced = [&](int q) {
       fault_activity.fetch_add(1, std::memory_order_relaxed);
       const bool complete = sent_log.replay(
-          q, [&](int task, const fault::SentTileLog::Payload& p) {
-            comm.post(q, net::Tag::Data, task, p->data(), p->size());
+          q, [&](int task, const net::Payload& p) {
+            comm.post(q, net::Tag::Data, task, p);
             frames_replayed.fetch_add(1, std::memory_order_relaxed);
             bytes_replayed.fetch_add(static_cast<long long>(p->size()),
                                      std::memory_order_relaxed);
@@ -161,10 +169,8 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
       // Replay covers Data only; shutdown control frames the down window
       // swallowed must be re-shipped by hand.
       if (q == 0 && stats_posted.load(std::memory_order_acquire)) {
-        comm.post(0, net::Tag::Stats, me, stats_payload.data(),
-                  stats_payload.size());
-        comm.post(0, net::Tag::Gather, me, gather_payload.data(),
-                  gather_payload.size());
+        comm.post(0, net::Tag::Stats, me, stats_payload);
+        comm.post(0, net::Tag::Gather, me, gather_payload);
       }
       if (me == 0 && bye_posted.load(std::memory_order_acquire))
         comm.post(q, net::Tag::Bye, 0, nullptr, 0);
@@ -249,33 +255,25 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
     // relayed by intermediate consumers as the payload arrives there).
     const std::vector<std::int32_t> kids = plan.bcast_children(idx, me);
     if (kids.empty()) return;
-    std::vector<std::uint8_t> payload;
-    pack_task_output(graph.op(idx), f, payload);
+    std::vector<std::uint8_t> packed;
+    pack_task_output(graph.op(idx), f, packed);
+    const net::Payload payload =
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(packed));
     // Stamp the send BEFORE posting: the frame can reach the receiver (and
     // be stamped there) while this worker is descheduled, and a post-post
     // stamp would then violate send < recv on the merged timeline.
     const double t = opts.trace ? monotonic_seconds() - origin : 0.0;
-    if (ft) {
-      // Log BEFORE posting, sharing the one payload across destinations:
-      // the log must cover every frame ever posted — including frames
-      // dropped while a peer is down — for replay to be the full history.
-      // The order is load-bearing: a ReplacePeer re-wire drops the peer's
-      // send queue and then replays this log, so a frame enqueued before
-      // its append could land in that drop window while still invisible to
-      // the replay — lost for good. Logged-then-posted, the worst case is
-      // a duplicate delivery, which the receiver's seen-producer dedup
-      // absorbs.
-      const auto sp = std::make_shared<const std::vector<std::uint8_t>>(
-          std::move(payload));
-      for (std::int32_t d : kids) {
-        sent_log.append(d, idx, sp);
-        comm.post(d, net::Tag::Data, idx, sp->data(), sp->size());
-        if (opts.trace) opts.trace->record_flow_send(idx, me, d, t);
-      }
-      return;
-    }
     for (std::int32_t d : kids) {
-      comm.post(d, net::Tag::Data, idx, payload.data(), payload.size());
+      // Under recovery, log BEFORE posting: the log must cover every frame
+      // ever posted — including frames dropped while a peer is down — for
+      // replay to be the full history. The order is load-bearing: a
+      // ReplacePeer re-wire drops the peer's send queue and then replays
+      // this log, so a frame enqueued before its append could land in that
+      // drop window while still invisible to the replay — lost for good.
+      // Logged-then-posted, the worst case is a duplicate delivery, which
+      // the receiver's seen-producer dedup absorbs.
+      if (ft) sent_log.append(d, idx, payload);
+      comm.post(d, net::Tag::Data, idx, payload);
       if (opts.trace) opts.trace->record_flow_send(idx, me, d, t);
     }
   };
@@ -357,7 +355,13 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
         ++frontier;
       return frontier >= my_tasks.size() || my_tasks[frontier] > id;
     };
-    std::vector<net::Message> deferred;
+    // A Data frame held back by locally_ready, with its shared payload.
+    struct HeldFrame {
+      std::int32_t id;
+      int src;
+      net::Payload payload;
+    };
+    std::vector<HeldFrame> deferred;
     // Stall post-mortem, printed when this rank gives up (watchdog) or a
     // peer tears the run down (Abort): enough state to tell a frame that
     // never arrived from a frame stuck behind the replacement's local
@@ -369,7 +373,11 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                  std::memory_order_acquire))
         ++fdone;
       std::string ids;
-      for (const net::Message& dm : deferred) ids += " " + std::to_string(dm.id);
+      ids.reserve(12 * deferred.size());
+      for (const HeldFrame& h : deferred) {
+        ids.append(" ");
+        ids.append(std::to_string(h.id));
+      }
       std::fprintf(stderr,
                    "[rank %d%s] %s: %zu/%zu local tasks done, lowest "
                    "incomplete local task %d, %zu deferred frame(s):%s\n",
@@ -379,24 +387,24 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                    deferred.size(), ids.c_str());
       std::fflush(stderr);
     };
-    const auto deliver = [&](net::Message&& m) {
-      apply_task_output(graph.op(m.id), f, m.payload, gates, m.id);
+    const auto deliver = [&](const HeldFrame& h) {
+      apply_task_output(graph.op(h.id), f, *h.payload, gates, h.id);
       if (opts.trace) {
         // The arrow's head: the first local task this payload helps
         // release (graph order makes it the earliest consumer here).
         std::int32_t consumer = -1;
-        for (std::int32_t s : graph.successors(m.id))
+        for (std::int32_t s : graph.successors(h.id))
           if (plan.node_of(s) == me) {
             consumer = s;
             break;
           }
-        opts.trace->record_flow_recv(m.id, m.src, me, consumer,
+        opts.trace->record_flow_recv(h.id, h.src, me, consumer,
                                      monotonic_seconds() - origin);
       }
       const double now = sw.seconds();
       if (now - last_data > max_recv_wait) max_recv_wait = now - last_data;
       last_data = now;
-      port->remote_complete(m.id);
+      port->remote_complete(h.id);
     };
     const auto on_msg = [&](net::Message&& m) {
       switch (m.tag) {
@@ -405,29 +413,29 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                     "Data frame names unknown task " << m.id);
           if (seen_data[static_cast<std::size_t>(m.id)]) break;
           seen_data[static_cast<std::size_t>(m.id)] = 1;
+          // The received buffer itself (moved, not copied) is what every
+          // relay ships and the local apply reads.
+          HeldFrame h{m.id, m.src,
+                      std::make_shared<const std::vector<std::uint8_t>>(
+                          std::move(m.payload))};
           // Relay down the broadcast tree before touching local state: the
           // subtree's latency is the payload's, not this rank's. Never
           // deferred — downstream ranks gate their own applies.
-          const std::vector<std::int32_t> kids = plan.bcast_children(m.id, me);
+          const std::vector<std::int32_t> kids = plan.bcast_children(h.id, me);
           if (!kids.empty()) {
             const double t = opts.trace ? monotonic_seconds() - origin : 0.0;
-            fault::SentTileLog::Payload sp;
-            if (ft)
-              sp = std::make_shared<const std::vector<std::uint8_t>>(
-                  m.payload);
             for (std::int32_t d : kids) {
               // Same append-before-post ordering as on_complete: a re-wire
               // drops the queue then replays the log.
-              if (ft) sent_log.append(d, m.id, sp);
-              comm.post(d, net::Tag::Data, m.id, m.payload.data(),
-                        m.payload.size());
-              if (opts.trace) opts.trace->record_flow_send(m.id, me, d, t);
+              if (ft) sent_log.append(d, h.id, h.payload);
+              comm.post(d, net::Tag::Data, h.id, h.payload);
+              if (opts.trace) opts.trace->record_flow_send(h.id, me, d, t);
             }
           }
-          if (locally_ready(m.id))
-            deliver(std::move(m));
+          if (locally_ready(h.id))
+            deliver(h);
           else
-            deferred.push_back(std::move(m));
+            deferred.push_back(std::move(h));
           break;
         }
         case net::Tag::Telemetry:
@@ -476,10 +484,10 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
         any = false;
         for (std::size_t i = 0; i < deferred.size();) {
           if (locally_ready(deferred[i].id)) {
-            net::Message m = std::move(deferred[i]);
+            const HeldFrame h = std::move(deferred[i]);
             deferred.erase(deferred.begin() +
                            static_cast<std::ptrdiff_t>(i));
-            deliver(std::move(m));
+            deliver(h);
             any = true;
           } else {
             ++i;
@@ -534,6 +542,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
     }
   };
 
+  end_phase(phases.plan_sync);
   RunStats rs = execute_partition(
       f, graph, eopts, view,
       [&](RemotePort& port) {
@@ -545,6 +554,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
         stop.store(true, std::memory_order_release);
         if (comm_thread.joinable()) comm_thread.join();
       });
+  end_phase(phases.engine);
 
   HQR_CHECK(!failed.load(std::memory_order_acquire),
             "distributed run failed on rank " << me << ": " << error);
@@ -562,6 +572,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
     HQR_CHECK(flush_sw.seconds() < shutdown_timeout,
               "rank " << me << ": shutdown flush timed out");
   }
+  end_phase(phases.flush);
 
   // Rank-local fault observability, appended to the POD stats frame.
   const auto fill_fault_stats = [&](DistRankStats& s) {
@@ -635,6 +646,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                 "rank 0: gather timed out with " << missing
                                                  << " frame(s) missing");
     }
+    end_phase(phases.gather);
     // Release everyone, then make sure the releases actually left. Under
     // recovery the flag lets the re-wire hook re-post Bye to a link whose
     // down window swallowed it.
@@ -648,22 +660,28 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
       HQR_CHECK(bye_sw.seconds() < shutdown_timeout,
                 "rank 0: shutdown release timed out");
     }
+    end_phase(phases.bye);
+    out.ranks[0].phases = phases;
   } else {
+    std::vector<std::uint8_t> packed;
+    pack_gather(graph, plan, me, f, packed);
     DistRankStats mine =
         local_rank_stats(me, opts, rs, comm.counters(), max_recv_wait);
     fill_fault_stats(mine);
-    const std::vector<std::uint8_t> g = pack_gather(graph, plan, me, f);
-    if (ft) {
-      // Stash copies for the re-wire hook before posting: the rank-0 link
-      // can die with these frames in its down window, and SentTileLog
-      // replay covers Data only.
-      const auto* raw = reinterpret_cast<const std::uint8_t*>(&mine);
-      stats_payload.assign(raw, raw + sizeof(mine));
-      gather_payload = g;
-      stats_posted.store(true, std::memory_order_release);
-    }
-    comm.post(0, net::Tag::Stats, me, &mine, sizeof(mine));
-    comm.post(0, net::Tag::Gather, me, g.data(), g.size());
+    mine.phases = phases;
+    mine.phases.gather = wall.seconds() - phase_start;  // all but the posts
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(&mine);
+    stats_payload = std::make_shared<const std::vector<std::uint8_t>>(
+        raw, raw + sizeof(mine));
+    gather_payload =
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(packed));
+    // Published to the re-wire hook before posting: the rank-0 link can die
+    // with these frames in its down window, and SentTileLog replay covers
+    // Data only.
+    stats_posted.store(true, std::memory_order_release);
+    comm.post(0, net::Tag::Stats, me, stats_payload);
+    comm.post(0, net::Tag::Gather, me, gather_payload);
+    end_phase(phases.gather);
     // Sibling ranks may disappear once rank 0 released them; only Bye from
     // rank 0 matters now.
     comm.set_eof_ok(true);
@@ -696,9 +714,11 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                   "rank " << me << ": post-release flush timed out");
       }
     }
+    end_phase(phases.bye);
   }
 
   out.comm = comm.counters();
+  out.phases = phases;
   out.seconds = wall.seconds();
 
   if (opts.metrics) {

@@ -113,6 +113,17 @@ struct DistOptions {
   DistFaultConfig fault;
 };
 
+// Where one rank's dist_qr_factorize wall time went, in seconds. The
+// phases run back to back, so they sum to at most DistStats::seconds.
+struct DistPhases {
+  double tiling = 0.0;     // TiledMatrix::from_matrix of the whole input
+  double plan_sync = 0.0;  // kernels, graph, CommPlan, factor storage, clock sync
+  double engine = 0.0;     // execute_partition (workers + comm thread)
+  double flush = 0.0;      // writing the frames the engine left queued
+  double gather = 0.0;     // rank 0: collect Stats + Gather; others: pack, post
+  double bye = 0.0;        // rank 0: post and flush Bye; others: await it
+};
+
 // Per-rank summary shipped to rank 0 over Tag::Stats; a plain byte-copied
 // struct (all ranks run the same binary).
 struct DistRankStats {
@@ -145,6 +156,10 @@ struct DistRankStats {
   long long frames_dropped = 0;       // posts swallowed while a peer was down
   long long frames_replayed = 0;      // SentTileLog frames re-shipped
   long long bytes_replayed = 0;
+  // Phases up to the Stats frame: a rank > 0 builds it before posting its
+  // Gather and awaiting Bye, so `bye` reads 0 there (its own
+  // DistStats::phases has every phase).
+  DistPhases phases;
 };
 
 struct DistStats {
@@ -157,6 +172,7 @@ struct DistStats {
   net::ClockSync clock;    // this rank's startup clock-sync estimate
   net::CommCounters comm;  // measured wire traffic of this rank
   RunStats run;            // this rank's executor stats
+  DistPhases phases;       // this rank's wall time, phase by phase
   std::vector<DistRankStats> ranks;  // rank 0 only: one entry per rank
 };
 

@@ -155,6 +155,7 @@ std::size_t task_output_bytes(const KernelOp& op, int b, int ib) {
 
 void pack_task_output(const KernelOp& op, const QRFactors& f,
                       std::vector<std::uint8_t>& out) {
+  out.reserve(out.size() + task_output_bytes(op, f.b(), f.ib()));
   net::PayloadWriter w(out);
   const TiledMatrix& a = f.a();
   switch (op.type) {
@@ -283,10 +284,34 @@ void for_each_contribution(const TaskGraph& graph, const CommPlan& plan,
 
 }  // namespace
 
-std::vector<std::uint8_t> pack_gather(const TaskGraph& graph,
-                                      const CommPlan& plan, int rank,
-                                      const QRFactors& f) {
-  std::vector<std::uint8_t> out;
+std::size_t gather_bytes(const TaskGraph& graph, const CommPlan& plan,
+                         int rank, const QRFactors& f) {
+  const TiledMatrix& a = f.a();
+  std::size_t doubles = 0;
+  for_each_contribution(
+      graph, plan, rank, f.mt(), f.nt(),
+      [&](int i, int j, bool upper) {
+        // Column lengths of pack_upper and pack_strict_lower.
+        const ConstMatrixView v = a.tile(i, j);
+        for (int c = 0; c < v.cols; ++c) {
+          if (upper)
+            doubles += static_cast<std::size_t>(c + 1);
+          else if (c + 1 < v.cols)
+            doubles += static_cast<std::size_t>(v.rows - c - 1);
+        }
+      },
+      [&](const KernelOp& op) {
+        const ConstMatrixView t = op.type == KernelType::GEQRT
+                                      ? f.t_geqrt(op.row, op.k)
+                                      : f.t_pencil(op.row, op.k);
+        doubles += static_cast<std::size_t>(t.rows) * t.cols;
+      });
+  return doubles * sizeof(double);
+}
+
+void pack_gather(const TaskGraph& graph, const CommPlan& plan, int rank,
+                 const QRFactors& f, std::vector<std::uint8_t>& out) {
+  out.reserve(out.size() + gather_bytes(graph, plan, rank, f));
   net::PayloadWriter w(out);
   const TiledMatrix& a = f.a();
   for_each_contribution(
@@ -303,7 +328,6 @@ std::vector<std::uint8_t> pack_gather(const TaskGraph& graph,
         else
           pack_full(f.t_pencil(op.row, op.k), w);
       });
-  return out;
 }
 
 void apply_gather(const TaskGraph& graph, const CommPlan& plan, int rank,

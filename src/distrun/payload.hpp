@@ -82,7 +82,8 @@ class RegionGates {
 std::size_t task_output_bytes(const KernelOp& op, int b, int ib);
 
 // Appends the regions written by `op` (current contents of `f`) to `out`
-// in the canonical order above.
+// in the canonical order above, growing `out` once, by exactly
+// task_output_bytes.
 void pack_task_output(const KernelOp& op, const QRFactors& f,
                       std::vector<std::uint8_t>& out);
 
@@ -107,10 +108,14 @@ void apply_task_output(const KernelOp& op, QRFactors& f,
 // Regions never written stay at their initial value, which every rank's
 // replica already holds.
 
-// Payload of everything `rank` must contribute to the final factorization.
-std::vector<std::uint8_t> pack_gather(const TaskGraph& graph,
-                                      const CommPlan& plan, int rank,
-                                      const QRFactors& f);
+// Byte size of `rank`'s gather payload.
+std::size_t gather_bytes(const TaskGraph& graph, const CommPlan& plan,
+                         int rank, const QRFactors& f);
+
+// Appends everything `rank` must contribute to the final factorization to
+// `out`, growing `out` once, by exactly gather_bytes.
+void pack_gather(const TaskGraph& graph, const CommPlan& plan, int rank,
+                 const QRFactors& f, std::vector<std::uint8_t>& out);
 
 // Applies rank `rank`'s gather payload onto rank 0's replica.
 void apply_gather(const TaskGraph& graph, const CommPlan& plan, int rank,

@@ -1,9 +1,7 @@
 #include "fault/ft_launcher.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <exception>
-#include <thread>
 #include <utility>
 
 #include <poll.h>
@@ -176,12 +174,12 @@ FtLaunchReport run_ranks_ft(
       if (pids[static_cast<std::size_t>(s)] > 0 &&
           !done[static_cast<std::size_t>(s)]) {
         // The liveness check above is inherently racy (the supervision
-        // loop polls every 5 ms): rank s can die or finish between it and
-        // this sendmsg, which then reports EPIPE — or ECONNRESET if s went
-        // down with an unread control message in its queue. Either way the
-        // process is gone, the next reap pass classifies the death, and
-        // the replacement sees EOF on this link exactly as if s had been
-        // reaped before recover() ran.
+        // loop reaps only between waits): rank s can die or finish between
+        // it and this sendmsg, which then reports EPIPE — or ECONNRESET if
+        // s went down with an unread control message in its queue. Either
+        // way the process is gone, the next reap pass classifies the death,
+        // and the replacement sees EOF on this link exactly as if s had
+        // been reaped before recover() ran.
         try {
           net::send_control(ctrl[static_cast<std::size_t>(s)].get(),
                             ControlOp::ReplacePeer, r, 0, pair.second.get());
@@ -239,7 +237,6 @@ FtLaunchReport run_ranks_ft(
 
   while (alive > 0) {
     // Reap pass.
-    bool reaped = false;
     for (int r = 0; r < nranks; ++r) {
       pid_t& pid = pids[static_cast<std::size_t>(r)];
       if (pid <= 0) continue;
@@ -248,7 +245,6 @@ FtLaunchReport run_ranks_ft(
       if (got == 0) continue;
       HQR_CHECK(got == pid, "waitpid failed for rank " << r);
       reap_one(r, status);
-      reaped = true;
     }
     for (const Death& d : deaths) {
       report.failures.push_back(d.failure);
@@ -288,8 +284,8 @@ FtLaunchReport run_ranks_ft(
       break;
     }
 
-    // Control pass: poll the live ranks' channels for LinkDown reports
-    // (5 ms doubles as the supervision loop's sleep).
+    // Control pass: wait for a LinkDown report on a live rank's channel, a
+    // rank exit or the deadline, whichever comes first.
     std::vector<pollfd> fds;
     std::vector<int> who;
     for (int r = 0; r < nranks; ++r) {
@@ -300,8 +296,7 @@ FtLaunchReport run_ranks_ft(
       fds.push_back(p);
       who.push_back(r);
     }
-    const int rc = ::poll(fds.data(), fds.size(), reaped ? 0 : 5);
-    if (rc <= 0) continue;
+    net::detail::wait_for_exit(pids, &fds, has_deadline ? deadline : 0.0);
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (!(fds[i].revents & (POLLIN | POLLHUP))) continue;
       const int s = who[i];

@@ -21,11 +21,13 @@
 #include <mutex>
 #include <vector>
 
+#include "net/message.hpp"
+
 namespace hqr::fault {
 
 class SentTileLog {
  public:
-  using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
+  using Payload = net::Payload;
 
   SentTileLog(int nranks, long long max_bytes);
 

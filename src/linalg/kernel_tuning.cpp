@@ -101,15 +101,19 @@ std::string tuning_cpu_id() {
 std::string default_tuning_path() {
   if (const char* env = std::getenv("HQR_TUNING_FILE"); env && env[0])
     return env;
-  std::string base;
+  // Appended into one reserved string: GCC 12 reports a false -Wrestrict
+  // inside libstdc++ for the operator+ and operator= forms.
+  std::string path;
+  path.reserve(256);
   if (const char* xdg = std::getenv("XDG_CACHE_HOME"); xdg && xdg[0]) {
-    base = xdg;
+    path.append(xdg);
   } else if (const char* home = std::getenv("HOME"); home && home[0]) {
-    base = std::string(home) + "/.cache";
+    path.append(home).append("/.cache");
   } else {
-    base = ".";
+    path.append(".");
   }
-  return base + "/hqr/tuning-" + tuning_cpu_id() + ".json";
+  path.append("/hqr/tuning-").append(tuning_cpu_id()).append(".json");
+  return path;
 }
 
 bool load_kernel_tuning(const std::string& path, KernelTuning& out) {

@@ -1,9 +1,14 @@
 #include "net/comm.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
@@ -27,6 +32,8 @@ Comm::Comm(int rank, std::vector<Fd> peers)
   down_epoch_.assign(peers_.size(), 0);
   epoch_.assign(peers_.size(), 0);
   paused_until_.assign(peers_.size(), 0.0);
+  wake_ = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  HQR_CHECK(wake_.valid(), "eventfd: " << std::strerror(errno));
 }
 
 void Comm::enable_fault_tolerance(int control_fd, CommFaultHooks hooks) {
@@ -48,6 +55,9 @@ int Comm::peer_epoch(int q) const {
 
 void Comm::sever_link(int q) {
   HQR_CHECK(q >= 0 && q < size() && q != rank_, "bad link peer " << q);
+  // A worker calls this while the pump thread may install a re-wired
+  // socket in peers_[q] (handle_control, under the same lock).
+  std::lock_guard<std::mutex> lk(send_mu_);
   ::shutdown(peers_[static_cast<std::size_t>(q)].get(), SHUT_RDWR);
 }
 
@@ -61,39 +71,60 @@ void Comm::pause_peer(int q, double seconds) {
 
 void Comm::post(int dest, Tag tag, std::int32_t id, const void* payload,
                 std::size_t bytes) {
+  const auto* b = static_cast<const std::uint8_t*>(payload);
+  post(dest, tag, id,
+       bytes > 0 ? std::make_shared<const std::vector<std::uint8_t>>(
+                       b, b + bytes)
+                 : nullptr);
+}
+
+void Comm::post(int dest, Tag tag, std::int32_t id, Payload payload) {
   HQR_CHECK(dest >= 0 && dest < size() && dest != rank_,
             "bad destination rank " << dest);
+  const std::size_t bytes = payload ? payload->size() : 0;
   FrameHeader h;
   h.tag = static_cast<std::uint32_t>(tag);
   h.src = rank_;
   h.id = id;
   h.bytes = bytes;
-  std::vector<std::uint8_t> frame(kFrameHeaderBytes + bytes);
-  encode_header(h, frame.data());
-  if (bytes > 0) std::memcpy(frame.data() + kFrameHeaderBytes, payload, bytes);
+  Frame frame;
+  encode_header(h, frame.header.data());
+  frame.payload = std::move(payload);
   const long long frame_bytes = static_cast<long long>(frame.size());
-  std::lock_guard<std::mutex> lk(send_mu_);
-  if (down_[static_cast<std::size_t>(dest)]) {
-    // The peer is between death and re-wire: the frame would only error the
-    // socket again. The SentTileLog replay after ReplacePeer re-delivers
-    // the payloads that matter; everything else (telemetry, control) is
-    // droppable by design.
-    ++counters_.frames_dropped_peer_down;
-    return;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lk(send_mu_);
+    if (down_[static_cast<std::size_t>(dest)]) {
+      // The peer is between death and re-wire: the frame would only error
+      // the socket again. The SentTileLog replay after ReplacePeer
+      // re-delivers the payloads that matter; everything else (telemetry,
+      // control) is droppable by design.
+      ++counters_.frames_dropped_peer_down;
+      return;
+    }
+    send_[static_cast<std::size_t>(dest)].frames.push_back(std::move(frame));
+    ++pending_frames_;
+    pending_bytes_ += frame_bytes;
+    if (tag == Tag::Data) {
+      ++counters_.data_messages_sent;
+      counters_.data_bytes_sent += static_cast<long long>(bytes);
+    } else {
+      ++counters_.control_messages_sent;
+      counters_.control_bytes_sent += static_cast<long long>(bytes);
+    }
+    ++counters_.messages_sent_by_tag[static_cast<std::size_t>(tag_index(tag))];
+    counters_.bytes_sent_by_tag[static_cast<std::size_t>(tag_index(tag))] +=
+        static_cast<long long>(bytes);
+    wake = wake_armed_;
+    wake_armed_ = false;
   }
-  send_[static_cast<std::size_t>(dest)].frames.push_back(std::move(frame));
-  ++pending_frames_;
-  pending_bytes_ += frame_bytes;
-  if (tag == Tag::Data) {
-    ++counters_.data_messages_sent;
-    counters_.data_bytes_sent += static_cast<long long>(bytes);
-  } else {
-    ++counters_.control_messages_sent;
-    counters_.control_bytes_sent += static_cast<long long>(bytes);
+  // The sleeping pump's poll set predates this frame; one signal per sleep
+  // makes it re-read the queues.
+  if (wake) {
+    const std::uint64_t one = 1;
+    const ssize_t w = ::write(wake_.get(), &one, sizeof(one));
+    (void)w;  // EAGAIN only at a counter near 2^64: the fd is readable
   }
-  ++counters_.messages_sent_by_tag[static_cast<std::size_t>(tag_index(tag))];
-  counters_.bytes_sent_by_tag[static_cast<std::size_t>(tag_index(tag))] +=
-      static_cast<long long>(bytes);
 }
 
 bool Comm::flushed() const {
@@ -151,33 +182,72 @@ void Comm::mark_peer_down_locked(int q) {
 }
 
 bool Comm::flush_peer(int q) {
+  // Frames per gathering write: each is a header and a payload buffer.
+  constexpr int kMaxFrames = 32;
   std::lock_guard<std::mutex> lk(send_mu_);
   SendState& s = send_[static_cast<std::size_t>(q)];
   while (!s.frames.empty()) {
-    const std::vector<std::uint8_t>& f = s.frames.front();
-    const std::size_t want = f.size() - s.offset;
+    iovec iov[2 * kMaxFrames];
+    int n = 0;
+    std::size_t want = 0;
+    std::size_t skip = s.offset;  // already written of the front frame
+    for (const Frame& f : s.frames) {
+      if (n + 2 > 2 * kMaxFrames) break;
+      if (skip < kFrameHeaderBytes)
+        iov[n++] = {const_cast<std::uint8_t*>(f.header.data()) + skip,
+                    kFrameHeaderBytes - skip};
+      const std::size_t pskip = skip > kFrameHeaderBytes
+                                    ? skip - kFrameHeaderBytes
+                                    : 0;
+      if (f.payload && pskip < f.payload->size())
+        iov[n++] = {const_cast<std::uint8_t*>(f.payload->data()) + pskip,
+                    f.payload->size() - pskip};
+      want += f.size() - skip;
+      skip = 0;
+    }
     std::ptrdiff_t wrote = 0;
     if (fault_mode_) {
       try {
-        wrote = write_some(peers_[static_cast<std::size_t>(q)].get(),
-                           f.data() + s.offset, want);
+        wrote = write_some(peers_[static_cast<std::size_t>(q)].get(), iov, n);
       } catch (const std::exception&) {
         // EPIPE/ECONNRESET: the peer died under us mid-write.
         mark_peer_down_locked(q);
         return true;
       }
     } else {
-      wrote = write_some(peers_[static_cast<std::size_t>(q)].get(),
-                         f.data() + s.offset, want);
+      wrote = write_some(peers_[static_cast<std::size_t>(q)].get(), iov, n);
     }
-    s.offset += static_cast<std::size_t>(wrote);
     pending_bytes_ -= static_cast<long long>(wrote);
-    if (s.offset < f.size()) return false;  // kernel buffer full
-    s.frames.pop_front();
-    s.offset = 0;
-    --pending_frames_;
+    auto left = static_cast<std::size_t>(wrote);
+    while (left > 0) {
+      const std::size_t rest = s.frames.front().size() - s.offset;
+      if (left < rest) {
+        s.offset += left;
+        break;
+      }
+      left -= rest;
+      s.frames.pop_front();
+      s.offset = 0;
+      --pending_frames_;
+    }
+    if (static_cast<std::size_t>(wrote) < want) return false;  // buffer full
   }
   return false;
+}
+
+void Comm::flush_posted(std::vector<int>& went_down) {
+  std::vector<int> ready;
+  {
+    std::lock_guard<std::mutex> lk(send_mu_);
+    for (int q = 0; q < size(); ++q) {
+      const auto i = static_cast<std::size_t>(q);
+      if (q != rank_ && !recv_[i].closed && !down_[i] &&
+          !send_[i].frames.empty() && paused_until_[i] == 0.0)
+        ready.push_back(q);
+    }
+  }
+  for (const int q : ready)
+    if (flush_peer(q)) went_down.push_back(q);
 }
 
 bool Comm::drain_peer(int q, std::vector<Message>& out) {
@@ -335,18 +405,29 @@ void Comm::handle_control(std::vector<int>& replaced) {
 int Comm::pump(int timeout_ms, const std::function<void(Message&&)>& on_msg) {
   std::vector<pollfd> fds;
   std::vector<int> who;
-  fds.reserve(peers_.size() + 1);
-  who.reserve(peers_.size() + 1);
+  fds.reserve(peers_.size() + 2);
+  who.reserve(peers_.size() + 2);
+  constexpr int kWake = -1;     // sentinel: the post() wake eventfd
+  constexpr int kControl = -2;  // sentinel: the launcher control channel
   {
     std::lock_guard<std::mutex> lk(send_mu_);
     if (paused_links_ > 0) {
       const double now = monotonic_seconds();
+      double next_resume = 0.0;
       for (int q = 0; q < size(); ++q) {
         double& until = paused_until_[static_cast<std::size_t>(q)];
         if (until > 0.0 && now >= until) {
           until = 0.0;
           --paused_links_;
+        } else if (until > 0.0 && (next_resume == 0.0 || until < next_resume)) {
+          next_resume = until;
         }
+      }
+      // Sleep no longer than the first hold: its frames leave when it ends.
+      if (next_resume > 0.0) {
+        const double ms = std::ceil((next_resume - now) * 1e3);
+        if (timeout_ms < 0 || ms < timeout_ms)
+          timeout_ms = ms < INT_MAX ? static_cast<int>(ms) : INT_MAX;
       }
     }
     for (int q = 0; q < size(); ++q) {
@@ -360,24 +441,21 @@ int Comm::pump(int timeout_ms, const std::function<void(Message&&)>& on_msg) {
       fds.push_back(p);
       who.push_back(q);
     }
+    // From here a post() cannot be seen by this poll set: have it signal.
+    wake_armed_ = true;
   }
   if (fault_mode_ && control_fd_ >= 0) {
-    pollfd p{};
-    p.fd = control_fd_;
-    p.events = POLLIN;
-    fds.push_back(p);
-    who.push_back(-1);  // sentinel: the control channel
+    fds.push_back(pollfd{control_fd_, POLLIN, 0});
+    who.push_back(kControl);
   }
   if (fds.empty()) return 0;
+  fds.push_back(pollfd{wake_.get(), POLLIN, 0});
+  who.push_back(kWake);
   const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
   if (rc < 0) {
+    // A signal cut the wait short. Nothing is stranded: a frame posted
+    // during the wait signalled the wake fd, which the next poll sees.
     HQR_CHECK(errno == EINTR, "poll: " << std::strerror(errno));
-    // A signal cut the wait short, and the pollfd snapshot above may
-    // predate frames post()ed while we slept (their fds would then lack
-    // POLLOUT). Flush whatever is pending now instead of stranding those
-    // sends until the next unrelated wakeup.
-    for (const int q : who)
-      if (q >= 0) flush_peer(q);
     return 0;
   }
   if (rc == 0) return 0;
@@ -386,7 +464,18 @@ int Comm::pump(int timeout_ms, const std::function<void(Message&&)>& on_msg) {
   std::vector<int> went_down;
   std::vector<int> replaced;
   for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (who[i] < 0) {
+    if (who[i] == kWake) {
+      if (fds[i].revents & POLLIN) {
+        std::uint64_t count = 0;
+        const ssize_t r = ::read(wake_.get(), &count, sizeof(count));
+        (void)r;  // resets the counter; the queues are what matter
+        // Last in the poll set: a peer this pump already found dead is
+        // skipped here, so no death is reported twice.
+        flush_posted(went_down);
+      }
+      continue;
+    }
+    if (who[i] == kControl) {
       if (fds[i].revents & (POLLIN | POLLHUP)) handle_control(replaced);
       continue;
     }

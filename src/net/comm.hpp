@@ -4,10 +4,12 @@
 //
 // Threading model: any thread may post() (sends are enqueued under a
 // mutex); exactly one thread at a time drives pump(), which flushes queued
-// frames and delivers every completely received message to a handler. The
-// distributed runtime runs pump() on a dedicated communication thread
-// during DAG execution — the paper's §V-A "additional communication
-// thread" — and on the main thread during the gather/shutdown phases.
+// frames and delivers every completely received message to a handler. A
+// post() wakes a pump() blocked in poll, so a frame leaves when it is
+// posted, not at the pump's next timeout. The distributed runtime runs
+// pump() on a dedicated communication thread during DAG execution — the
+// paper's §V-A "additional communication thread" — and on the main thread
+// during the gather/shutdown phases.
 #pragma once
 
 #include <array>
@@ -73,16 +75,24 @@ class Comm {
   int size() const { return static_cast<int>(peers_.size()); }
 
   // Enqueues one framed message to `dest` and returns immediately (eager
-  // send); the next pump() flushes it. Thread-safe.
+  // send). The frame holds `payload` itself, not a copy: post the same
+  // Payload to every rank that needs it. A pump() blocked in poll wakes and
+  // writes the frame at once, unless the link is paused (pause_peer) or
+  // down; with no pump blocked, the next pump() writes it. Thread-safe.
+  void post(int dest, Tag tag, std::int32_t id, Payload payload);
+
+  // Posts a new payload holding a copy of `bytes` bytes at `payload`
+  // (small control frames: stats, telemetry, clock sync). Thread-safe.
   void post(int dest, Tag tag, std::int32_t id, const void* payload,
             std::size_t bytes);
 
   // One progress iteration: writes queued frames until the kernel buffers
   // fill, reads whatever arrived, and invokes `on_msg` once per completely
   // received message. Blocks in poll for at most `timeout_ms` when there is
-  // nothing to do. Returns the number of messages delivered. Throws
-  // hqr::Error on a socket error, or on peer EOF unless eof_ok() was set
-  // (the shutdown phase expects peers to disappear).
+  // nothing to do; a post() from another thread or the end of a pause_peer
+  // hold ends the wait early. Returns the number of messages delivered.
+  // Throws hqr::Error on a socket error, or on peer EOF unless eof_ok() was
+  // set (the shutdown phase expects peers to disappear).
   int pump(int timeout_ms, const std::function<void(Message&&)>& on_msg);
 
   // True when every posted frame has been written to the kernel.
@@ -110,6 +120,7 @@ class Comm {
 
   // Chaos hook (fault/plan.hpp DropLink): hard-closes both directions of
   // the stream to q, so both endpoints observe EOF as if the link failed.
+  // Thread-safe.
   void sever_link(int q);
 
   // Chaos hook (DelayLink): holds outbound frames to q for `seconds`, then
@@ -130,9 +141,18 @@ class Comm {
   long long send_queue_bytes() const;
 
  private:
+  // A queued frame: its encoded header and the shared payload buffer. The
+  // socket writes both parts in one gathering write.
+  struct Frame {
+    std::array<std::uint8_t, kFrameHeaderBytes> header;
+    Payload payload;  // null: empty payload
+    std::size_t size() const {
+      return kFrameHeaderBytes + (payload ? payload->size() : 0);
+    }
+  };
   struct SendState {
-    std::deque<std::vector<std::uint8_t>> frames;  // header+payload
-    std::size_t offset = 0;                        // into frames.front()
+    std::deque<Frame> frames;
+    std::size_t offset = 0;  // bytes of frames.front() already written
   };
   struct RecvState {
     std::uint8_t header_raw[kFrameHeaderBytes];  // wire bytes, decoded when full
@@ -149,6 +169,8 @@ class Comm {
   // Reads from peer q; appends complete messages to `out`.
   bool drain_peer(int q, std::vector<Message>& out);
 
+  // Flushes every peer whose queue a post() filled while pump() slept.
+  void flush_posted(std::vector<int>& went_down);
   void drop_queue_locked(int q);
   void mark_peer_down_locked(int q);
   void handle_control(std::vector<int>& replaced);
@@ -157,10 +179,11 @@ class Comm {
   std::vector<Fd> peers_;
   std::vector<SendState> send_;
   std::vector<RecvState> recv_;
-  // Guards send_, pending_frames_/bytes_, and every counters_ mutation:
-  // send-side counters bump under it in post(), recv-side in drain_peer()
-  // — so counters_snapshot() taken from the telemetry thread can never
-  // observe a torn counter.
+  // Guards send_, pending_frames_/bytes_, every counters_ mutation, and
+  // peers_ against a re-wire (the pump thread replaces an Fd while a worker
+  // may sever it): send-side counters bump under it in post(), recv-side
+  // in drain_peer() — so counters_snapshot() taken from the telemetry
+  // thread can never observe a torn counter.
   mutable std::mutex send_mu_;
   long long pending_frames_ = 0;
   long long pending_bytes_ = 0;
@@ -175,6 +198,11 @@ class Comm {
   std::vector<int> epoch_;
   std::vector<double> paused_until_;  // 0 = not paused
   int paused_links_ = 0;
+  // An eventfd in every pump()'s poll set. A post() signals it when a pump
+  // may be blocked (wake_armed_, guarded by send_mu_: set as pump() builds
+  // its poll set, cleared by the post that signals).
+  Fd wake_;
+  bool wake_armed_ = false;
 };
 
 }  // namespace hqr::net

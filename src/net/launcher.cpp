@@ -1,13 +1,16 @@
 #include "net/launcher.hpp"
 
-#include <chrono>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <thread>
 #include <vector>
 
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
@@ -15,6 +18,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/stopwatch.hpp"
 
 namespace hqr::net {
 
@@ -63,6 +67,34 @@ void record_exit(RankExit& e, int status) {
   }
 }
 
+void wait_for_exit(const std::vector<pid_t>& pids, std::vector<pollfd>* extra,
+                   double deadline) {
+  std::vector<pollfd> fds;
+  if (extra != nullptr) fds = *extra;
+  // A pidfd polls readable once its process has exited, so the wait ends at
+  // the exit itself. Opened per wait: an unreaped child's pid stays valid.
+  std::vector<Fd> exit_fds;
+  for (const pid_t pid : pids) {
+    if (pid <= 0) continue;
+    Fd fd(static_cast<int>(::syscall(SYS_pidfd_open, pid, 0)));
+    HQR_CHECK(fd.valid(),
+              "pidfd_open(" << pid << "): " << std::strerror(errno));
+    fds.push_back(pollfd{fd.get(), POLLIN, 0});
+    exit_fds.push_back(std::move(fd));
+  }
+  if (fds.empty()) return;
+  int timeout_ms = -1;
+  if (deadline > 0) {
+    const double ms = std::ceil((deadline - monotonic_seconds()) * 1e3);
+    timeout_ms = ms <= 0 ? 0 : ms >= INT_MAX ? INT_MAX : static_cast<int>(ms);
+  }
+  const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+  HQR_CHECK(rc >= 0 || errno == EINTR, "poll: " << std::strerror(errno));
+  if (extra != nullptr)
+    for (std::size_t i = 0; i < extra->size(); ++i)
+      (*extra)[i].revents = rc > 0 ? fds[i].revents : 0;
+}
+
 // Tears down every still-running rank. With a grace budget the group first
 // gets SIGTERM (a chance to flush traces and metrics before dying); ranks
 // still alive at the deadline get SIGKILL. Blocks until all are reaped.
@@ -75,10 +107,7 @@ void kill_group(std::vector<pid_t>& pids, std::vector<RankExit>& exits,
   if (grace_seconds > 0) {
     for (pid_t pid : pids)
       if (pid > 0) ::kill(pid, SIGTERM);
-    const auto kill_at =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(grace_seconds));
+    const double kill_at = monotonic_seconds() + grace_seconds;
     for (;;) {
       bool alive = false;
       for (int r = 0; r < n; ++r) {
@@ -94,8 +123,8 @@ void kill_group(std::vector<pid_t>& pids, std::vector<RankExit>& exits,
           alive = true;
         }
       }
-      if (!alive || std::chrono::steady_clock::now() >= kill_at) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!alive || monotonic_seconds() >= kill_at) break;
+      wait_for_exit(pids, nullptr, kill_at);
     }
   }
   for (pid_t pid : pids)
@@ -133,17 +162,14 @@ LaunchReport run_ranks_report(int nranks,
   }
   transport->parent_release();  // parent holds no mesh descriptors
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              opts.timeout_seconds > 0 ? opts.timeout_seconds : 0));
+  const double deadline = opts.timeout_seconds > 0
+                              ? monotonic_seconds() + opts.timeout_seconds
+                              : 0.0;
 
   LaunchReport report;
   report.ranks.resize(static_cast<std::size_t>(nranks));
   int alive = nranks;
   while (alive > 0) {
-    bool reaped = false;
     for (int r = 0; r < nranks; ++r) {
       pid_t& pid = pids[static_cast<std::size_t>(r)];
       if (pid < 0) continue;
@@ -153,7 +179,6 @@ LaunchReport run_ranks_report(int nranks,
       HQR_CHECK(got == pid, "waitpid failed for rank " << r);
       pid = -1;
       --alive;
-      reaped = true;
       RankExit& e = report.ranks[static_cast<std::size_t>(r)];
       record_exit(e, status);
       int code = 0;
@@ -171,15 +196,14 @@ LaunchReport run_ranks_report(int nranks,
     }
     if (alive == 0) break;
     if (report.first_failure != 0) break;  // one rank failed: kill the rest
-    if (opts.timeout_seconds > 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
+    if (deadline > 0 && monotonic_seconds() >= deadline) {
       std::fprintf(stderr,
                    "[launcher] timeout after %.1fs, killing %d rank(s)\n",
                    opts.timeout_seconds, alive);
       report.timed_out = true;
       break;
     }
-    if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    detail::wait_for_exit(pids, nullptr, deadline);
   }
 
   kill_group(pids, report.ranks, opts.term_grace_seconds);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <vector>
 
+#include <poll.h>
 #include <sys/types.h>
 
 #include "net/comm.hpp"
@@ -83,6 +84,15 @@ void kill_group(std::vector<pid_t>& pids, std::vector<RankExit>& exits,
 
 // Classifies one waitpid status into a RankExit.
 void record_exit(RankExit& e, int status);
+
+// Blocks until a rank in `pids` exits (entries <= 0 are not watched), a
+// descriptor in `*extra` (may be null) polls ready — its revents are filled
+// in — or `deadline` passes (a monotonic_seconds() instant; <= 0: none). A
+// signal ends the wait early too. Reaps nothing: waitpid stays the
+// authority on how a rank ended. Shared by the plain and fault-tolerant
+// launchers, so neither sleeps between reap sweeps.
+void wait_for_exit(const std::vector<pid_t>& pids, std::vector<pollfd>* extra,
+                   double deadline);
 
 }  // namespace detail
 

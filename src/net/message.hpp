@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
@@ -192,6 +193,13 @@ inline FrameHeader decode_header(const std::uint8_t in[kFrameHeaderBytes]) {
   h.bytes = wire::get_u64(in + 24);
   return h;
 }
+
+// A frame's payload as the socket writes it: packed once, at its exact
+// size, and shared by every frame that ships it (each broadcast child, each
+// relay, each SentTileLog replay) instead of copied into each. The frame
+// header is written separately from it and names no destination, so one
+// buffer serves every copy. Null means an empty payload.
+using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 // A fully received message, as handed to the progress-loop handler.
 struct Message {

@@ -9,6 +9,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -37,6 +38,19 @@ void set_nonblocking(int fd) {
 std::ptrdiff_t write_some(int fd, const void* p, std::size_t n) {
   for (;;) {
     const ssize_t r = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (r >= 0) return r;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    HQR_CHECK(false, "socket write: " << std::strerror(errno));
+  }
+}
+
+std::ptrdiff_t write_some(int fd, const iovec* iov, int count) {
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<std::size_t>(count);
+  for (;;) {
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r >= 0) return r;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;

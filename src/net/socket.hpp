@@ -17,6 +17,8 @@
 #include <string>
 #include <utility>
 
+struct iovec;
+
 namespace hqr::net {
 
 // Owning file descriptor. Move-only.
@@ -62,6 +64,10 @@ void set_nonblocking(int fd);
 // only). Throws hqr::Error on a hard socket error.
 std::ptrdiff_t write_some(int fd, const void* p, std::size_t n);
 std::ptrdiff_t read_some(int fd, void* p, std::size_t n);
+
+// Gathering form of write_some: writes the `count` buffers of `iov` as one
+// stream, in order, in a single call. Same return and error contract.
+std::ptrdiff_t write_some(int fd, const iovec* iov, int count);
 
 // --- TCP primitives (net/transport.hpp builds the rank mesh on these) ---
 

@@ -125,8 +125,9 @@ TEST(CrossValidation, BroadcastKindsAgreeOnTotalsAndCoverage) {
         }
         // Non-members relay nothing.
         if (r != tree.node_of(t) &&
-            !std::count(dests.begin(), dests.end(), r))
+            !std::count(dests.begin(), dests.end(), r)) {
           EXPECT_TRUE(kids.empty());
+        }
       }
       EXPECT_EQ(edges, static_cast<long long>(dests.size()));
       // Every consumer is reached exactly once; the producer never is.

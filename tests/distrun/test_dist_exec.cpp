@@ -41,6 +41,17 @@ bool bit_identical(const QRFactors& x, const QRFactors& y) {
   return true;
 }
 
+// Sum of a phase split, or -1 when a part is negative.
+double phase_sum(const distrun::DistPhases& p) {
+  double sum = 0.0;
+  for (const double part :
+       {p.tiling, p.plan_sync, p.engine, p.flush, p.gather, p.bye}) {
+    if (part < 0.0) return -1.0;
+    sum += part;
+  }
+  return sum;
+}
+
 struct Setup {
   int m, n, b;
   Distribution dist;
@@ -50,7 +61,8 @@ struct Setup {
 
 // Forks dist.nodes() ranks, factors, and verifies on rank 0 that the
 // gathered factors match the sequential run bitwise and that the measured
-// Data traffic equals the communication plan.
+// Data traffic equals the communication plan. Every rank checks that its
+// phase split has no negative part and sums to no more than its wall time.
 int run_case(const Setup& s) {
   const int ranks = s.dist.nodes();
   const auto rank_main = [&](net::Comm& comm) -> int {
@@ -67,7 +79,13 @@ int run_case(const Setup& s) {
     distrun::DistStats stats;
     QRFactors f =
         distrun::dist_qr_factorize(comm, a, s.b, list, s.dist, opts, &stats);
+    const double phases = phase_sum(stats.phases);
+    if (phases < 0.0 || phases > stats.seconds) return 5;
     if (comm.rank() != 0) return 0;
+    // The split every rank shipped, and rank 0's own entry in full.
+    for (const distrun::DistRankStats& r : stats.ranks)
+      if (phase_sum(r.phases) < 0.0) return 6;
+    if (phase_sum(stats.ranks[0].phases) != phases) return 6;
 
     QRFactors ref = qr_factorize_sequential(a, s.b, list, opts.ib);
     if (!bit_identical(f, ref)) return 2;

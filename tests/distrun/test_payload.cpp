@@ -1,11 +1,13 @@
 // Wire payloads of the distributed runtime at ib < b and ib == b: every
-// kernel type packs exactly task_output_bytes (its T as ib x b), and
-// replaying the packed outputs onto a fresh replica, task by task or as the
+// kernel type packs exactly task_output_bytes (its T as ib x b), both
+// packers append at their exact size with one allocation, and replaying
+// the packed outputs onto a fresh replica, task by task or as the
 // end-of-run gather, reproduces the factorization bit for bit.
 #include "distrun/payload.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <tuple>
@@ -99,10 +101,49 @@ TEST_P(PayloadRoundTrip, GatherReassemblesTheFactorization) {
   const CommPlan plan(graph, Distribution::cyclic_1d(2),
                       BroadcastKind::Binomial);
   QRFactors dst = fresh(a_, b_, ib_);
-  for (int rank = 0; rank < 2; ++rank)
-    distrun::apply_gather(graph, plan, rank,
-                          distrun::pack_gather(graph, plan, rank, src), dst);
+  for (int rank = 0; rank < 2; ++rank) {
+    std::vector<std::uint8_t> g;
+    distrun::pack_gather(graph, plan, rank, src, g);
+    distrun::apply_gather(graph, plan, rank, g, dst);
+  }
   EXPECT_TRUE(same_factors(src, dst));
+}
+
+// Both packers append after what `out` already holds (a frame's header
+// room here) and grow it once, by exactly the payload's computed size:
+// reserve(n) on a vector allocates exactly n, so a miscount shows as a
+// capacity above the final size (too much) or a regrowth (too little).
+TEST_P(PayloadRoundTrip, PackingAppendsItsExactSizeAfterAPrefix) {
+  QRFactors src = fresh(a_, b_, ib_);
+  TileWorkspace ws(b_);
+  const std::vector<std::uint8_t> prefix(32, 0xa5);
+  const auto expect_append = [&](std::size_t bytes, const auto& pack) {
+    std::vector<std::uint8_t> alone;
+    pack(alone);
+    std::vector<std::uint8_t> out = prefix;
+    pack(out);
+    EXPECT_EQ(out.size(), prefix.size() + bytes);
+    EXPECT_EQ(out.capacity(), out.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    EXPECT_TRUE(std::equal(alone.begin(), alone.end(),
+                           out.begin() + static_cast<std::ptrdiff_t>(
+                                             prefix.size())));
+  };
+  for (const KernelOp& op : src.kernels()) {
+    execute_kernel(op, src, ws);
+    expect_append(distrun::task_output_bytes(op, b_, ib_),
+                  [&](std::vector<std::uint8_t>& out) {
+                    distrun::pack_task_output(op, src, out);
+                  });
+  }
+  const TaskGraph graph(src.kernels(), src.mt(), src.nt());
+  const CommPlan plan(graph, Distribution::cyclic_1d(2),
+                      BroadcastKind::Binomial);
+  for (int rank = 0; rank < 2; ++rank)
+    expect_append(distrun::gather_bytes(graph, plan, rank, src),
+                  [&](std::vector<std::uint8_t>& out) {
+                    distrun::pack_gather(graph, plan, rank, src, out);
+                  });
 }
 
 TEST(Payload, TSizesFollowTheInnerBlock) {

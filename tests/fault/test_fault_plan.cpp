@@ -76,7 +76,9 @@ TEST(FaultPlan, RandomIsDeterministicAndRecoverable) {
     EXPECT_GE(act.at_task, 1);
     EXPECT_LE(act.at_task, 10);
     // Kill victims avoid the unrecoverable collector rank by contract.
-    if (act.kind == FaultKind::KillRank) EXPECT_NE(act.rank, 0);
+    if (act.kind == FaultKind::KillRank) {
+      EXPECT_NE(act.rank, 0);
+    }
     if (act.kind != FaultKind::KillRank) {
       EXPECT_GE(act.peer, 0);
       EXPECT_LT(act.peer, 4);

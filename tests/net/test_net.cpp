@@ -382,9 +382,10 @@ TEST(Comm, CountersSnapshotIsConsistentWhileReceiving) {
 }
 
 // Regression for the EINTR path: a frame posted while pump() sleeps in
-// poll() is invisible to that poll's (stale) pollfd interest set; a signal
-// used to make pump return without flushing, stranding the frame until an
-// unrelated wakeup. Now an EINTR re-checks the send queues.
+// poll() is invisible to that poll's pollfd interest set, and a signal
+// used to make pump return without flushing it, stranding the frame until
+// an unrelated wakeup. The post now wakes the pump, and a signal arriving
+// in the same window must not lose the frame either.
 TEST(Comm, SignalDuringPumpDoesNotStrandQueuedSends) {
   struct sigaction sa {};
   struct sigaction old {};
@@ -400,8 +401,8 @@ TEST(Comm, SignalDuringPumpDoesNotStrandQueuedSends) {
   const double x = 7.0;
   p.c0->post(1, Tag::Data, 11, &x, sizeof(x));
 
-  // Only a signal can break the sleep before its 30 s timeout; the frame
-  // arriving proves the EINTR path flushed the queue.
+  // The post's wake or a signal ends the 30 s sleep; either way the frame
+  // must arrive.
   std::vector<Message> got;
   for (int spin = 0; spin < 2000 && got.empty(); ++spin) {
     ::pthread_kill(pumper.native_handle(), SIGUSR1);
@@ -412,6 +413,57 @@ TEST(Comm, SignalDuringPumpDoesNotStrandQueuedSends) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 11);
   EXPECT_TRUE(p.c0->flushed());
+}
+
+// A frame posted while another thread's pump() sleeps in poll leaves at
+// once: the post wakes the pump, whose poll set predates the frame. No
+// signal is sent; without the wake the frame waits out the 3 s timeout.
+TEST(Comm, PostFromAnotherThreadWakesASleepingPump) {
+  using Clock = std::chrono::steady_clock;
+  CommPair p = comm_pair();
+  std::thread pumper([&] { p.c0->pump(3000, [](Message&&) {}); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double x = 4.0;
+  const Clock::time_point t0 = Clock::now();
+  p.c0->post(1, Tag::Data, 21, &x, sizeof(x));
+  std::vector<Message> got;
+  while (got.empty() && Clock::now() - t0 < std::chrono::milliseconds(500))
+    p.c1->pump(5, [&](Message&& m) { got.push_back(std::move(m)); });
+  const Clock::duration waited = Clock::now() - t0;
+  pumper.join();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 21);
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+  EXPECT_TRUE(p.c0->flushed());
+}
+
+// The wake respects pause_peer: a frame posted to a held link stays queued
+// until the hold ends, and then leaves without the sleeping pump first
+// waiting out its 3 s timeout.
+TEST(Comm, WakeLeavesAPausedLinkHeldUntilItsHoldEnds) {
+  using Clock = std::chrono::steady_clock;
+  CommPair p = comm_pair();
+  const Clock::time_point paused = Clock::now();
+  p.c0->pause_peer(1, 0.3);
+  std::atomic<bool> stop{false};
+  std::thread pumper([&] {
+    while (!stop.load(std::memory_order_acquire))
+      p.c0->pump(3000, [](Message&&) {});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double x = 5.0;
+  p.c0->post(1, Tag::Data, 22, &x, sizeof(x));
+  std::vector<Message> got;
+  while (got.empty() && Clock::now() - paused < std::chrono::milliseconds(2500))
+    p.c1->pump(5, [&](Message&& m) { got.push_back(std::move(m)); });
+  const Clock::duration arrived = Clock::now() - paused;
+  stop.store(true, std::memory_order_release);
+  p.c0->post(1, Tag::Bye, 0, nullptr, 0);  // wakes the pumper to see `stop`
+  pumper.join();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 22);
+  EXPECT_GE(arrived, std::chrono::milliseconds(300));
+  EXPECT_LT(arrived, std::chrono::milliseconds(2500));
 }
 
 TEST(ClockSync, MidpointEstimatorRecoversKnownOffset) {

@@ -101,8 +101,11 @@ TEST(WorkerTopology, SingleDomainIsNotMultiDomain) {
   const WorkerTopology wt = WorkerTopology::build(flat, 4);
   EXPECT_FALSE(wt.multi_domain);
   for (int a = 0; a < 4; ++a)
-    for (int b = 0; b < 4; ++b)
-      if (a != b) EXPECT_EQ(wt.dist(a, b), 1);
+    for (int b = 0; b < 4; ++b) {
+      if (a != b) {
+        EXPECT_EQ(wt.dist(a, b), 1);
+      }
+    }
 }
 
 TEST(WorkerTopology, DegenerateWorkerCounts) {

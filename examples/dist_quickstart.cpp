@@ -7,7 +7,7 @@
 //   ./dist_quickstart [--ranks=4] [--m=1024] [--n=1024] [--b=128]
 //                     [--dist=2d|block1d|cyclic1d] [--grid-p=2] [--grid-q=2]
 //                     [--p=4] [--a=2] [--low=greedy] [--high=fibonacci]
-//                     [--threads=2] [--sched=steal|global] [--ib=0]
+//                     [--threads=2] [--ib=0]
 //                     [--transport=unix|tcp] [--bcast=binomial|eager]
 //                     [--timeout=120] [--seed=42]
 //                     [--trace=dist_trace] [--progress]
@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
                        {"high", "fibonacci"},
                        {"domino", "true"},
                        {"threads", "2"},
-                       {"sched", "steal"},
                        {"ib", "0"},
                        {"transport", "unix"},
                        {"bcast", "binomial"},
@@ -155,7 +154,6 @@ int main(int argc, char** argv) {
     obs::TraceRecorder trace;
     distrun::DistOptions opts;
     opts.threads = static_cast<int>(cli.integer("threads"));
-    opts.scheduler = scheduler_kind_from_name(cli.str("sched"));
     opts.ib = static_cast<int>(cli.integer("ib"));
     opts.broadcast = bcast;
     opts.progress_timeout_seconds = timeout;

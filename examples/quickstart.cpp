@@ -5,7 +5,6 @@
 //
 //   ./quickstart [--m=600] [--n=360] [--b=40] [--p=4] [--a=2]
 //                [--low=greedy] [--high=fibonacci] [--threads=4]
-//                [--sched=steal|global]
 //                [--trace=out.json] [--metrics=metrics.json] [--report]
 #include <iostream>
 
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
                                {"high", "fibonacci"},
                                {"domino", "true"},
                                {"threads", "4"},
-                               {"sched", "steal"},
                                {"seed", "42"}}));
   const int m = static_cast<int>(cli.integer("m"));
   const int n = static_cast<int>(cli.integer("n"));
@@ -66,7 +64,6 @@ int main(int argc, char** argv) {
   obs::ObsSession obs(cli);
   ExecutorOptions opts;
   opts.threads = static_cast<int>(cli.integer("threads"));
-  opts.scheduler = scheduler_kind_from_name(cli.str("sched"));
   opts.trace = obs.trace();
   opts.metrics = obs.metrics();
   TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
@@ -76,8 +73,7 @@ int main(int argc, char** argv) {
   Stopwatch sw;
   RunStats stats = execute_parallel(f, graph, opts);
   std::cout << "factorized in " << sw.seconds() << " s with " << stats.threads
-            << " threads, " << scheduler_kind_name(opts.scheduler)
-            << " scheduler (" << stats.total_tasks << " kernel tasks, "
+            << " threads (" << stats.total_tasks << " kernel tasks, "
             << 100.0 * stats.reuse_hit_rate() << "% data-reuse hits, "
             << stats.steals << " steals)\n";
   obs.finish(&graph);

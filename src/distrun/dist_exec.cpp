@@ -200,10 +200,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
 
   ExecutorOptions eopts;
   eopts.threads = opts.threads;
-  eopts.priority_scheduling = opts.priority_scheduling;
-  eopts.data_reuse = opts.data_reuse;
   eopts.ib = opts.ib;
-  eopts.scheduler = opts.scheduler;
   eopts.trace = opts.trace;
   eopts.metrics = opts.metrics;
   eopts.trace_origin = origin;

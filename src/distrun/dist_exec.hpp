@@ -83,11 +83,8 @@ struct DistFaultConfig {
 };
 
 struct DistOptions {
-  int threads = 1;                  // workers per rank
-  bool priority_scheduling = true;  // critical-path depth of the full DAG
-  bool data_reuse = true;
-  int ib = 0;  // inner block of the kernels (0 = default_ib(b))
-  SchedulerKind scheduler = SchedulerKind::Steal;
+  int threads = 1;  // workers per rank
+  int ib = 0;       // inner block of the kernels (0 = default_ib(b))
   // How a completed task's output reaches its consuming ranks. Binomial
   // (default) forwards through intermediate consumers so no producer's
   // send queue serializes a wide broadcast; Eager posts every frame from

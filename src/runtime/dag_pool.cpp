@@ -25,10 +25,9 @@ struct DagState {
   std::function<void(DagId, bool)> on_done;
 
   std::vector<int> npred;       // outstanding predecessors per task
-  std::vector<char> external;   // 1 = executed outside the pool
   std::vector<double> depth;    // critical-path priority within the DAG
   std::priority_queue<ReadyTask> ready;
-  long long remaining = 0;  // local tasks not yet executed
+  long long remaining = 0;  // tasks not yet executed
   long long delivered = 0;  // tasks handed to workers (the fairness key)
   long long inflight = 0;   // tasks currently executing
   bool cancelled = false;
@@ -181,7 +180,6 @@ struct DagPool::Impl {
         --dag->remaining;
         int released = 0;
         for (std::int32_t s : dag->graph->successors(idx)) {
-          if (dag->external[static_cast<std::size_t>(s)]) continue;
           if (--dag->npred[static_cast<std::size_t>(s)] == 0) {
             push_ready_locked(*dag, s);
             ++released;
@@ -208,20 +206,13 @@ struct DagPool::Impl {
     dag->priority = sopts.priority;
     dag->on_done = std::move(sopts.on_done);
     const int n = dag->graph->size();
-    dag->external.assign(static_cast<std::size_t>(n), 0);
-    for (std::int32_t t : sopts.external_tasks) {
-      HQR_CHECK(t >= 0 && t < n, "external task " << t << " outside graph of "
-                                                  << n << " tasks");
-      dag->external[static_cast<std::size_t>(t)] = 1;
-    }
     dag->npred.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       dag->npred[static_cast<std::size_t>(i)] = dag->graph->num_predecessors(i);
     dag->graph->critical_path(unit_weight_duration, &dag->depth);
-    for (int i = 0; i < n; ++i)
-      if (!dag->external[static_cast<std::size_t>(i)]) ++dag->remaining;
+    dag->remaining = n;
 
-    std::unique_lock<std::mutex> lk(mu);
+    std::lock_guard<std::mutex> lk(mu);
     HQR_CHECK(!stopping, "DagPool is shutting down");
     if (opts.max_active_dags > 0 && !sopts.bypass_admission_limit &&
         static_cast<int>(active.size()) >= opts.max_active_dags) {
@@ -233,7 +224,6 @@ struct DagPool::Impl {
     dag->id = next_id++;
     int seeded = 0;
     for (int i = 0; i < n; ++i) {
-      if (dag->external[static_cast<std::size_t>(i)]) continue;
       if (dag->npred[static_cast<std::size_t>(i)] == 0) {
         push_ready_locked(*dag, i);
         ++seeded;
@@ -253,10 +243,7 @@ struct DagPool::Impl {
       work_cv.notify_one();
     else if (seeded > 1)
       work_cv.notify_all();
-    const DagId id = dag->id;
-    // A DAG whose every task is external finishes without running anything.
-    maybe_finish_locked(lk, dag);
-    return id;
+    return dag->id;
   }
 
   bool wait_dag(DagId id) {
@@ -289,45 +276,6 @@ struct DagPool::Impl {
     return true;
   }
 
-  void external_complete(DagId id, std::int32_t producer) {
-    std::unique_lock<std::mutex> lk(mu);
-    auto it = live.find(id);
-    if (it == live.end()) return;  // DAG already finished: stale completion
-    auto dag = it->second;
-    if (dag->cancelled) return;
-    const int n = dag->graph->size();
-    HQR_CHECK(producer >= 0 && producer < n,
-              "external completion for task " << producer
-                                              << " outside graph of " << n);
-    int released = 0;
-    for (std::int32_t s : dag->graph->successors(producer)) {
-      if (dag->external[static_cast<std::size_t>(s)]) continue;
-      if (--dag->npred[static_cast<std::size_t>(s)] == 0) {
-        push_ready_locked(*dag, s);
-        ++released;
-      }
-    }
-    if (released == 1)
-      work_cv.notify_one();
-    else if (released > 1)
-      work_cv.notify_all();
-  }
-
-  // (dag, task)-namespaced external-completion port: the DAG id is bound
-  // at construction, so a producer id can never land in another DAG.
-  class PoolPort final : public RemotePort {
-   public:
-    PoolPort(Impl* impl, DagId id) : impl_(impl), id_(id) {}
-    void remote_complete(std::int32_t producer) override {
-      impl_->external_complete(id_, producer);
-    }
-    void cancel() override { impl_->cancel_dag(id_); }
-
-   private:
-    Impl* impl_;
-    DagId id_;
-  };
-
   DagPoolOptions opts;
   mutable std::mutex mu;
   std::condition_variable work_cv;
@@ -359,10 +307,6 @@ bool DagPool::wait(DagId id) { return impl_->wait_dag(id); }
 void DagPool::wait_all() { impl_->wait_all_dags(); }
 
 bool DagPool::cancel(DagId id) { return impl_->cancel_dag(id); }
-
-std::unique_ptr<RemotePort> DagPool::port(DagId id) {
-  return std::make_unique<Impl::PoolPort>(impl_.get(), id);
-}
 
 int DagPool::active_dags() const {
   std::lock_guard<std::mutex> lk(impl_->mu);

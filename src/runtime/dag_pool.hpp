@@ -1,7 +1,7 @@
 // Multi-DAG worker pool: many task graphs share one set of worker threads.
 //
-// The single-DAG engines in runtime/executor.hpp spin up a thread pool per
-// invocation and run exactly one graph to completion — the right shape for
+// The single-DAG engine in runtime/executor.hpp spins up a thread pool per
+// invocation and runs exactly one graph to completion — the right shape for
 // a batch job, the wrong one for a server that must execute many
 // independent factorizations of wildly different shapes concurrently. The
 // DagPool keeps `threads` workers alive for its whole lifetime and admits
@@ -16,10 +16,7 @@
 //     worker takes from the highest-priority one; among equals, from the
 //     DAG that has been served the fewest tasks so far (so one huge
 //     factorization cannot starve a stream of small ones). Within a DAG,
-//     tasks order by critical-path depth, as in the single-DAG engines.
-//   * (dag, task)-namespaced external completions — the RemotePort analogue
-//     for pool DAGs binds the DAG id into the port, so concurrent DAGs
-//     whose task-id spaces overlap (they all start at 0) cannot collide.
+//     tasks order by critical-path depth, as in the single-DAG engine.
 //
 // Scheduling is a single mutex-protected multi-queue rather than the
 // work-stealing deques of the single-DAG engine: admission fairness needs a
@@ -38,10 +35,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "dag/task_graph.hpp"
 #include "kernels/tile_kernels.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/executor.hpp"
 
 namespace hqr {
 
@@ -70,11 +67,6 @@ struct DagSubmitOptions {
   // Admission priority: higher drains first; ties are served fairly
   // (fewest-tasks-delivered DAG first).
   int priority = 0;
-  // Task ids executed outside the pool (the distributed partition case):
-  // they are never run by a worker, and their successors become ready only
-  // when reported through the DAG's port(). Each listed id must be a valid
-  // task of the graph.
-  std::vector<std::int32_t> external_tasks;
   // Invoked exactly once, on the worker that finished the DAG's last task
   // (or on the thread that observed cancellation complete). May call back
   // into the pool (e.g. submit a follow-up DAG); runs outside the pool
@@ -132,12 +124,6 @@ class DagPool {
   // ones finish. Returns true when the DAG had not already finished. The
   // on_done callback still fires (with cancelled = true).
   bool cancel(DagId id);
-
-  // External-completion port for one DAG, namespaced by (dag id, task id):
-  // remote_complete(producer) releases only this DAG's successors of
-  // `producer`, never another DAG's task with the same id. Valid until the
-  // pool is destroyed; calls after the DAG finished are ignored.
-  std::unique_ptr<RemotePort> port(DagId id);
 
   // Instantaneous gauges for the serving layer.
   int active_dags() const;

@@ -8,8 +8,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
+#include <span>
 #include <thread>
 
 #include "common/stopwatch.hpp"
@@ -17,17 +17,6 @@
 #include "runtime/steal_deque.hpp"
 
 namespace hqr {
-
-SchedulerKind scheduler_kind_from_name(const std::string& name) {
-  if (name == "steal") return SchedulerKind::Steal;
-  if (name == "global") return SchedulerKind::Global;
-  HQR_CHECK(false, "unknown scheduler '" << name << "' (want steal|global)");
-  return SchedulerKind::Steal;  // unreachable
-}
-
-const char* scheduler_kind_name(SchedulerKind kind) {
-  return kind == SchedulerKind::Steal ? "steal" : "global";
-}
 
 namespace {
 
@@ -52,339 +41,73 @@ struct WorkerStats {
   double terminal_wait_seconds = 0.0;
 };
 
-// A scheduling policy provides ready-task storage behind four hooks:
-//   seed(roots)           called before workers start (single-threaded)
-//   release(lane, batch)  hand the newly-ready successors of a finished
-//                         task to the scheduler (batch may be reordered)
-//   acquire(lane, ws)     block until a task is available (returns its
-//                         index) or every task has finished (returns -1)
-//   all_done()            the last task finished; wake any sleeper
-// The engine owns the dependency counters and the worker loop.
+// The host's topology: sysfs is read once per process.
+const CpuTopology& host_topology() {
+  static const CpuTopology topo = CpuTopology::detect();
+  return topo;
+}
 
-// Baseline backend: one mutex+condvar priority queue shared by all
-// workers. Every acquire/release serializes on mu_, which is exactly the
-// contention the stealing backend removes.
-class GlobalQueuePolicy {
- public:
-  GlobalQueuePolicy(const std::vector<double>& depth,
-                    const ExecutorOptions& opts,
-                    const std::atomic<long long>& remaining,
-                    const std::atomic<bool>& cancelled)
-      : depth_(depth), opts_(opts), remaining_(remaining),
-        cancelled_(cancelled) {}
-
-  void seed(const std::vector<std::int32_t>& roots) {
-    for (std::int32_t r : roots) ready_.push({depth_[r], r});
-  }
-
-  // Enqueues every newly-ready successor of one finished task under a
-  // single lock acquisition, then wakes exactly as many sleepers as tasks
-  // were added.
-  void release(int /*lane*/, std::vector<std::int32_t>& batch) {
-    if (batch.empty()) return;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (std::int32_t idx : batch) ready_.push({depth_[idx], idx});
-    }
-    if (batch.size() == 1) {
-      cv_.notify_one();
-    } else {
-      const std::size_t sleepers =
-          std::min(batch.size(), static_cast<std::size_t>(opts_.threads));
-      for (std::size_t i = 0; i < sleepers; ++i) cv_.notify_one();
-    }
-  }
-
-  std::int32_t acquire(int /*lane*/, WorkerStats& ws) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      return !ready_.empty() ||
-             remaining_.load(std::memory_order_acquire) == 0 ||
-             cancelled_.load(std::memory_order_acquire);
-    });
-    if (cancelled_.load(std::memory_order_acquire) || ready_.empty())
-      return -1;
-    const std::int32_t idx = ready_.top().idx;
-    ready_.pop();
-    ++ws.queue_pops;
-    ++ws.depth_samples;
-    ws.depth_samples_sum += static_cast<long long>(ready_.size());
-    return idx;
-  }
-
-  void all_done() {
-    // Taking the lock orders this notify after any waiter's predicate
-    // check, so the wakeup cannot be lost between check and block.
-    { std::lock_guard<std::mutex> lk(mu_); }
-    cv_.notify_all();
-  }
-
- private:
-  const std::vector<double>& depth_;
-  const ExecutorOptions& opts_;
-  const std::atomic<long long>& remaining_;
-  const std::atomic<bool>& cancelled_;
-  std::priority_queue<ReadyTask> ready_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-};
-
-// Work-stealing backend: each worker owns a fixed-capacity Chase–Lev
-// deque fed by the successors it releases. Released batches are pushed in
-// ascending priority so the owner's LIFO pop always takes its
-// highest-priority ready task; thieves steal the oldest (lowest-priority)
-// end. Tasks that do not fit the deque — and the graph roots, which no
-// worker owns — go to a small mutex-protected priority heap shared by all
-// workers, preserving the critical-path ordering across workers for
-// anything that spills. Idle workers try: own deque, overflow heap,
-// randomized victims; only after a full failed sweep do they block
-// (timed, so a missed wakeup costs microseconds, never a deadlock).
-class StealPolicy {
- public:
-  StealPolicy(const std::vector<double>& depth, const ExecutorOptions& opts,
-              const std::atomic<long long>& remaining,
-              const std::atomic<bool>& cancelled)
-      : depth_(depth),
-        opts_(opts),
-        remaining_(remaining),
-        cancelled_(cancelled),
-        deques_(static_cast<std::size_t>(opts.threads)),
-        lanes_(static_cast<std::size_t>(opts.threads)) {
-    for (std::size_t t = 0; t < lanes_.size(); ++t)
-      lanes_[t].rng = 0x9e3779b97f4a7c15ULL * (t + 1) + 1;
-    // Producer lane per task, written at release time. Roots and external
-    // (remote) releases keep -1: no local producer, never a locality hit.
-    producer_ = std::make_unique<std::atomic<int>[]>(depth.size());
-    for (std::size_t i = 0; i < depth.size(); ++i)
-      producer_[i].store(-1, std::memory_order_relaxed);
-    if (opts.locality_stealing && opts.threads > 1) {
-      if (opts.topology != nullptr && opts.topology->workers == opts.threads) {
-        topo_ = opts.topology;
-      } else if (opts.topology == nullptr) {
-        host_topo_ = WorkerTopology::build(CpuTopology::detect(), opts.threads);
-        topo_ = &host_topo_;
-      }
-      // On a single-domain machine the near-first order cannot differ from
-      // the plain randomized sweep, so keep the latter (topo_ still feeds
-      // the locality counters).
-      use_victim_order_ = topo_ != nullptr && topo_->multi_domain;
-    }
-  }
-
-  void seed(const std::vector<std::int32_t>& roots) {
-    std::lock_guard<std::mutex> lk(overflow_mu_);
-    for (std::int32_t r : roots) overflow_.push({depth_[r], r});
-    overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
-                         std::memory_order_release);
-  }
-
-  void release(int lane, std::vector<std::int32_t>& batch) {
-    if (batch.empty()) return;
-    if (lane < 0) {
-      // External release (a remote producer's payload arrived on the
-      // communication thread): no worker owns the batch, so it goes to the
-      // shared priority heap.
-      {
-        std::lock_guard<std::mutex> lk(overflow_mu_);
-        for (std::int32_t idx : batch) overflow_.push({depth_[idx], idx});
-        overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
-                             std::memory_order_release);
-      }
-      if (sleepers_.load(std::memory_order_acquire) > 0) cv_.notify_all();
-      return;
-    }
-    // Ascending priority: the best task ends up on top of the LIFO deque.
-    std::sort(batch.begin(), batch.end(),
-              [&](std::int32_t x, std::int32_t y) {
-                if (depth_[x] != depth_[y]) return depth_[x] < depth_[y];
-                return x > y;
-              });
-    // Tag each task with its producing lane before it becomes visible to
-    // thieves; the tag drives the locality hit/miss accounting at acquire.
-    for (std::int32_t idx : batch)
-      producer_[idx].store(lane, std::memory_order_release);
-    StealDeque& own = deques_[static_cast<std::size_t>(lane)];
-    for (std::int32_t idx : batch)
-      if (!own.push(idx)) spill(idx);
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
-      if (batch.size() > 1)
-        cv_.notify_all();
-      else
-        cv_.notify_one();
-    }
-  }
-
-  std::int32_t acquire(int lane, WorkerStats& ws) {
-    StealDeque& own = deques_[static_cast<std::size_t>(lane)];
-    const int nw = opts_.threads;
-    for (;;) {
-      std::int32_t idx = own.pop();
-      if (idx >= 0) {
-        ++ws.local_hits;
-        ++ws.queue_pops;
-        ++ws.depth_samples;
-        ws.depth_samples_sum += own.size();
-        count_locality(lane, idx, ws);
-        return idx;
-      }
-      if (remaining_.load(std::memory_order_acquire) == 0 ||
-          cancelled_.load(std::memory_order_acquire))
-        return -1;
-      if (overflow_size_.load(std::memory_order_acquire) > 0 &&
-          (idx = pop_overflow(lane, ws)) >= 0)
-        return idx;
-      // Steal sweep: topology-near victims first when the machine has
-      // distinct cache domains, the plain randomized order otherwise; a
-      // couple of passes over the other workers before giving up and
-      // blocking.
-      const std::vector<int>* order =
-          use_victim_order_
-              ? &topo_->victim_order[static_cast<std::size_t>(lane)]
-              : nullptr;
-      for (int attempt = 0; nw > 1 && attempt < 2 * nw; ++attempt) {
-        if (remaining_.load(std::memory_order_acquire) == 0 ||
-            cancelled_.load(std::memory_order_acquire))
-          return -1;
-        const int victim =
-            order ? (*order)[static_cast<std::size_t>(attempt) % order->size()]
-                  : pick_victim(lane, nw);
-        idx = deques_[static_cast<std::size_t>(victim)].steal();
-        if (idx >= 0) {
-          ++ws.steals;
-          ++ws.queue_pops;
-          count_locality(lane, idx, ws);
-          return idx;
-        }
-        ++ws.steal_fails;
-        if (overflow_size_.load(std::memory_order_acquire) > 0 &&
-            (idx = pop_overflow(lane, ws)) >= 0)
-          return idx;
-      }
-      // Nothing visible anywhere: block until a release (or completion)
-      // wakes us. The timeout is a backstop against the benign
-      // release-vs-register race — it bounds a missed wakeup, the common
-      // path is an explicit notify.
-      std::unique_lock<std::mutex> lk(mu_);
-      sleepers_.fetch_add(1, std::memory_order_acq_rel);
-      if (remaining_.load(std::memory_order_acquire) > 0 &&
-          !cancelled_.load(std::memory_order_acquire))
-        cv_.wait_for(lk, std::chrono::microseconds(200));
-      sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-
-  void all_done() {
-    { std::lock_guard<std::mutex> lk(mu_); }
-    cv_.notify_all();
-  }
-
- private:
-  struct alignas(64) LaneState {
-    std::uint64_t rng = 0;
-  };
-
-  int pick_victim(int lane, int nw) {
-    std::uint64_t& s = lanes_[static_cast<std::size_t>(lane)].rng;
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    const int v = static_cast<int>(s % static_cast<std::uint64_t>(nw - 1));
-    return v >= lane ? v + 1 : v;  // uniform over the other workers
-  }
-
-  void spill(std::int32_t idx) {
-    std::lock_guard<std::mutex> lk(overflow_mu_);
-    overflow_.push({depth_[idx], idx});
-    overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
-                         std::memory_order_release);
-  }
-
-  std::int32_t pop_overflow(int lane, WorkerStats& ws) {
-    std::int32_t idx = -1;
-    {
-      std::lock_guard<std::mutex> lk(overflow_mu_);
-      if (overflow_.empty()) return -1;
-      idx = overflow_.top().idx;
-      overflow_.pop();
-      overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
-                           std::memory_order_release);
-    }
-    ++ws.overflow_pops;
-    ++ws.queue_pops;
-    count_locality(lane, idx, ws);
-    return idx;
-  }
-
-  // Every successful pop is classified: hit when the producing lane shares
-  // the acquirer's LLC domain, miss otherwise (untagged tasks — roots and
-  // remote releases — always miss).
-  void count_locality(int lane, std::int32_t idx, WorkerStats& ws) {
-    if (topo_ == nullptr) return;
-    const int p = producer_[idx].load(std::memory_order_acquire);
-    if (p >= 0 && topo_->near(lane, p))
-      ++ws.locality_hits;
-    else
-      ++ws.locality_misses;
-  }
-
-  const std::vector<double>& depth_;
-  const ExecutorOptions& opts_;
-  const std::atomic<long long>& remaining_;
-  const std::atomic<bool>& cancelled_;
-  std::vector<StealDeque> deques_;
-  std::vector<LaneState> lanes_;
-  std::unique_ptr<std::atomic<int>[]> producer_;
-  const WorkerTopology* topo_ = nullptr;
-  WorkerTopology host_topo_;
-  bool use_victim_order_ = false;
-
-  std::mutex overflow_mu_;
-  std::priority_queue<ReadyTask> overflow_;
-  std::atomic<std::int64_t> overflow_size_{0};
-
-  // Sleep/wake machinery for workers that found no work anywhere.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<int> sleepers_{0};
-};
-
-// Dependency tracking, priority assignment, timing/trace capture and the
-// worker loop, parameterized over the ready-task storage policy.
-template <class Policy>
-class Engine {
+// One run of a task graph: dependency counters, the ready set and the
+// worker loop. Ready tasks are ordered by critical-path depth. A worker
+// keeps the deepest successor its task made ready (data reuse) and pushes
+// the rest onto its own fixed-capacity Chase–Lev deque in ascending
+// priority, so the owner's LIFO pop always takes its highest-priority ready
+// task; thieves steal the oldest (lowest-priority) end. Tasks that do not
+// fit the deque — and the graph roots and remote releases, which no worker
+// owns — go to a small mutex-protected priority heap shared by all workers,
+// preserving the critical-path ordering across workers for anything that
+// spills. Idle workers try: own deque, overflow heap, victims; only after
+// a full failed sweep do they block (timed, so a missed wakeup costs
+// microseconds, never a deadlock). With a PartitionView the engine runs
+// its rank's slice and is the RemotePort remote completions arrive through.
+class Engine final : public RemotePort {
  public:
   // Called by a worker to run task `idx` with its private workspace.
   using ExecuteFn = std::function<void(std::int32_t, TileWorkspace&)>;
 
   Engine(const TaskGraph& graph, const ExecutorOptions& opts,
-         const PartitionView* view = nullptr)
+         const PartitionView* view)
       : graph_(graph),
         opts_(opts),
         view_(view),
         timed_(opts.trace != nullptr || opts.metrics != nullptr),
-        remaining_(0) {
+        deques_(static_cast<std::size_t>(opts.threads)),
+        lanes_(static_cast<std::size_t>(opts.threads)) {
     if (opts.trace_origin >= 0.0) clock_.set_origin(opts.trace_origin);
-    local_tasks_ = graph.size();
+    const int n = graph.size();
+    local_tasks_ = n;
     if (view_) {
       local_tasks_ = 0;
-      for (int i = 0; i < graph.size(); ++i)
+      for (int i = 0; i < n; ++i)
         if (is_local(i)) ++local_tasks_;
     }
     remaining_.store(local_tasks_, std::memory_order_relaxed);
-    npred_ = std::make_unique<std::atomic<int>[]>(
-        static_cast<std::size_t>(graph.size()));
-    for (int i = 0; i < graph.size(); ++i)
+    npred_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
+    // Producer lane per task, written at release time. Roots and remote
+    // releases keep -1: no local producer, never a locality hit.
+    producer_ =
+        std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
       npred_[i].store(graph.num_predecessors(i), std::memory_order_relaxed);
-    if (opts_.priority_scheduling) {
-      // Priorities come from the critical path of the FULL graph even in
-      // partition mode, matching what the cluster simulator assumes every
-      // node schedules by.
-      graph_.critical_path(unit_weight_duration, &depth_);
-    } else {
-      depth_.assign(static_cast<std::size_t>(graph.size()), 0.0);
-      // FIFO: earlier list index = higher priority.
-      for (int i = 0; i < graph.size(); ++i)
-        depth_[i] = static_cast<double>(graph.size() - i);
+      producer_[i].store(-1, std::memory_order_relaxed);
+    }
+    // Priorities come from the critical path of the FULL graph even in
+    // partition mode, matching what the cluster simulator assumes every
+    // node schedules by.
+    graph_.critical_path(unit_weight_duration, &depth_);
+    for (std::size_t t = 0; t < lanes_.size(); ++t)
+      lanes_[t].rng = 0x9e3779b97f4a7c15ULL * (t + 1) + 1;
+    if (opts.threads > 1) {
+      if (opts.topology == nullptr) {
+        host_topo_ = WorkerTopology::build(host_topology(), opts.threads);
+        topo_ = &host_topo_;
+      } else if (opts.topology->workers == opts.threads) {
+        topo_ = opts.topology;
+      }
+      // On a single-domain machine the near-first order cannot differ from
+      // the plain randomized sweep, so keep the latter (topo_ still feeds
+      // the locality counters).
+      use_victim_order_ = topo_ != nullptr && topo_->multi_domain;
     }
     if (opts_.trace) opts_.trace->ensure_lanes(opts_.threads);
     if (opts_.metrics) {
@@ -392,38 +115,37 @@ class Engine {
         kernel_hist_[t] = &opts_.metrics->histogram(
             "exec.task_seconds." + kernel_name(static_cast<KernelType>(t)));
     }
-    policy_.emplace(depth_, opts_, remaining_, cancelled_);
-    if (view_) {
-      std::vector<std::int32_t> local_roots;
-      for (std::int32_t r : graph_.roots())
-        if (is_local(r)) local_roots.push_back(r);
-      policy_->seed(local_roots);
-    } else {
-      policy_->seed(graph_.roots());
-    }
+    std::vector<std::int32_t> roots;
+    for (std::int32_t r : graph_.roots())
+      if (!view_ || is_local(r)) roots.push_back(r);
+    push_overflow(roots);
   }
 
   long long local_tasks() const { return local_tasks_; }
 
   // Remote producer done (payload applied): release its local successors.
-  // Called from the communication thread while workers run.
-  void remote_complete(std::int32_t producer) {
+  // Called from the communication thread while workers run; no worker owns
+  // the batch, so it goes to the shared priority heap.
+  void remote_complete(std::int32_t producer) override {
     std::vector<std::int32_t> batch;
     for (std::int32_t s : graph_.successors(producer)) {
       if (!is_local(s)) continue;
       if (npred_[s].fetch_sub(1, std::memory_order_acq_rel) == 1)
         batch.push_back(s);
     }
-    policy_->release(/*lane=*/-1, batch);
+    if (batch.empty()) return;
+    push_overflow(batch);
+    if (sleepers_.load(std::memory_order_acquire) > 0) cv_.notify_all();
   }
 
-  void cancel() {
+  void cancel() override {
     cancelled_.store(true, std::memory_order_release);
-    policy_->all_done();
+    wake_all();
   }
 
-  void run(int b, const ExecuteFn& execute, int threads,
+  void run(int b, const ExecuteFn& execute,
            std::vector<WorkerStats>& per_thread) {
+    const int threads = opts_.threads;
     per_thread.assign(static_cast<std::size_t>(threads), {});
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads) - 1);
@@ -434,6 +156,10 @@ class Engine {
   }
 
  private:
+  struct alignas(64) LaneState {
+    std::uint64_t rng = 0;
+  };
+
   void worker(int b, const ExecuteFn& execute, int lane, WorkerStats& stats) {
     TileWorkspace ws(b);
     std::vector<std::int32_t> released;
@@ -445,7 +171,7 @@ class Engine {
         ++stats.reuse_hits;
       } else if (timed_) {
         const double wait0 = clock_.seconds();
-        idx = policy_->acquire(lane, stats);
+        idx = acquire(lane, stats);
         const double waited = clock_.seconds() - wait0;
         // The acquire that observes completion is the termination barrier,
         // not a stall — book it separately so idle stays a contention
@@ -455,7 +181,7 @@ class Engine {
         else
           stats.terminal_wait_seconds += waited;
       } else {
-        idx = policy_->acquire(lane, stats);
+        idx = acquire(lane, stats);
       }
       next = -1;
       if (idx < 0) return;
@@ -488,14 +214,14 @@ class Engine {
       if (view_ && view_->on_complete) view_->on_complete(idx);
 
       // Release successors; keep the best newly-ready one local and hand
-      // the rest to the scheduler in one batch. Remote-owned successors are
+      // the rest to the deque in one batch. Remote-owned successors are
       // skipped: their owner releases them when this task's payload lands.
       std::int32_t keep = -1;
       released.clear();
       for (std::int32_t s : graph_.successors(idx)) {
         if (view_ && !is_local(s)) continue;
         if (npred_[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          if (opts_.data_reuse && (keep < 0 || depth_[s] > depth_[keep])) {
+          if (keep < 0 || depth_[s] > depth_[keep]) {
             if (keep >= 0) released.push_back(keep);
             keep = s;
           } else {
@@ -503,13 +229,146 @@ class Engine {
           }
         }
       }
-      policy_->release(lane, released);
+      release(lane, released);
       next = keep;
 
-      if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        policy_->all_done();  // everything done: wake sleepers to exit
-      }
+      if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        wake_all();  // everything done: wake sleepers to exit
     }
+  }
+
+  void release(int lane, std::vector<std::int32_t>& batch) {
+    if (batch.empty()) return;
+    // Ascending priority: the best task ends up on top of the LIFO deque.
+    std::sort(batch.begin(), batch.end(),
+              [&](std::int32_t x, std::int32_t y) {
+                if (depth_[x] != depth_[y]) return depth_[x] < depth_[y];
+                return x > y;
+              });
+    // Tag each task with its producing lane before it becomes visible to
+    // thieves; the tag drives the locality hit/miss accounting at acquire.
+    for (std::int32_t idx : batch)
+      producer_[idx].store(lane, std::memory_order_release);
+    StealDeque& own = deques_[static_cast<std::size_t>(lane)];
+    for (std::int32_t idx : batch)
+      if (!own.push(idx)) push_overflow({&idx, 1});
+    if (sleepers_.load(std::memory_order_acquire) > 0) {
+      if (batch.size() > 1)
+        cv_.notify_all();
+      else
+        cv_.notify_one();
+    }
+  }
+
+  // Blocks until a task is available (returns its index) or every task has
+  // finished or the run was cancelled (returns -1).
+  std::int32_t acquire(int lane, WorkerStats& ws) {
+    StealDeque& own = deques_[static_cast<std::size_t>(lane)];
+    const int nw = opts_.threads;
+    for (;;) {
+      std::int32_t idx = own.pop();
+      if (idx >= 0) {
+        ++ws.local_hits;
+        ++ws.queue_pops;
+        ++ws.depth_samples;
+        ws.depth_samples_sum += own.size();
+        count_locality(lane, idx, ws);
+        return idx;
+      }
+      if (finished()) return -1;
+      if (overflow_size_.load(std::memory_order_acquire) > 0 &&
+          (idx = pop_overflow(lane, ws)) >= 0)
+        return idx;
+      // Steal sweep: topology-near victims first when the machine has
+      // distinct cache domains, the plain randomized order otherwise; a
+      // couple of passes over the other workers before giving up and
+      // blocking.
+      const std::vector<int>* order =
+          use_victim_order_
+              ? &topo_->victim_order[static_cast<std::size_t>(lane)]
+              : nullptr;
+      for (int attempt = 0; nw > 1 && attempt < 2 * nw; ++attempt) {
+        if (finished()) return -1;
+        const int victim =
+            order ? (*order)[static_cast<std::size_t>(attempt) % order->size()]
+                  : pick_victim(lane, nw);
+        idx = deques_[static_cast<std::size_t>(victim)].steal();
+        if (idx >= 0) {
+          ++ws.steals;
+          ++ws.queue_pops;
+          count_locality(lane, idx, ws);
+          return idx;
+        }
+        ++ws.steal_fails;
+        if (overflow_size_.load(std::memory_order_acquire) > 0 &&
+            (idx = pop_overflow(lane, ws)) >= 0)
+          return idx;
+      }
+      // Nothing visible anywhere: block until a release (or completion)
+      // wakes us. The timeout is a backstop against the benign
+      // release-vs-register race — it bounds a missed wakeup, the common
+      // path is an explicit notify.
+      std::unique_lock<std::mutex> lk(mu_);
+      sleepers_.fetch_add(1, std::memory_order_acq_rel);
+      if (!finished()) cv_.wait_for(lk, std::chrono::microseconds(200));
+      sleepers_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  }
+
+  bool finished() const {
+    return remaining_.load(std::memory_order_acquire) == 0 ||
+           cancelled_.load(std::memory_order_acquire);
+  }
+
+  // Taking the sleep mutex orders this notify after any sleeper's check, so
+  // the wakeup cannot be lost between check and block.
+  void wake_all() {
+    { std::lock_guard<std::mutex> lk(mu_); }
+    cv_.notify_all();
+  }
+
+  int pick_victim(int lane, int nw) {
+    std::uint64_t& s = lanes_[static_cast<std::size_t>(lane)].rng;
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    const int v = static_cast<int>(s % static_cast<std::uint64_t>(nw - 1));
+    return v >= lane ? v + 1 : v;  // uniform over the other workers
+  }
+
+  void push_overflow(std::span<const std::int32_t> tasks) {
+    std::lock_guard<std::mutex> lk(overflow_mu_);
+    for (std::int32_t idx : tasks) overflow_.push({depth_[idx], idx});
+    overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
+                         std::memory_order_release);
+  }
+
+  std::int32_t pop_overflow(int lane, WorkerStats& ws) {
+    std::int32_t idx = -1;
+    {
+      std::lock_guard<std::mutex> lk(overflow_mu_);
+      if (overflow_.empty()) return -1;
+      idx = overflow_.top().idx;
+      overflow_.pop();
+      overflow_size_.store(static_cast<std::int64_t>(overflow_.size()),
+                           std::memory_order_release);
+    }
+    ++ws.overflow_pops;
+    ++ws.queue_pops;
+    count_locality(lane, idx, ws);
+    return idx;
+  }
+
+  // Every successful pop is classified: hit when the producing lane shares
+  // the acquirer's LLC domain, miss otherwise (untagged tasks — roots and
+  // remote releases — always miss).
+  void count_locality(int lane, std::int32_t idx, WorkerStats& ws) {
+    if (topo_ == nullptr) return;
+    const int p = producer_[idx].load(std::memory_order_acquire);
+    if (p >= 0 && topo_->near(lane, p))
+      ++ws.locality_hits;
+    else
+      ++ws.locality_misses;
   }
 
   bool is_local(std::int32_t i) const {
@@ -524,44 +383,44 @@ class Engine {
   Stopwatch clock_;  // shared time base for trace lanes and busy/idle splits
   std::array<obs::Histogram*, kKernelTypeCount> kernel_hist_{};
   std::unique_ptr<std::atomic<int>[]> npred_;
+  std::unique_ptr<std::atomic<int>[]> producer_;
   std::vector<double> depth_;
-  std::atomic<long long> remaining_;
+  std::atomic<long long> remaining_{0};
   std::atomic<bool> cancelled_{false};
-  std::optional<Policy> policy_;  // constructed once depth_ is final
+
+  std::vector<StealDeque> deques_;
+  std::vector<LaneState> lanes_;
+  const WorkerTopology* topo_ = nullptr;
+  WorkerTopology host_topo_;
+  bool use_victim_order_ = false;
+
+  std::mutex overflow_mu_;
+  std::priority_queue<ReadyTask> overflow_;
+  std::atomic<std::int64_t> overflow_size_{0};
+
+  // Sleep/wake machinery for workers that found no work anywhere.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::atomic<int> sleepers_{0};
 };
 
-// Adapts one concrete Engine<Policy> to the policy-agnostic RemotePort the
-// distributed runtime holds.
-template <class Policy>
-class EnginePort final : public RemotePort {
- public:
-  explicit EnginePort(Engine<Policy>& e) : e_(e) {}
-  void remote_complete(std::int32_t producer) override {
-    e_.remote_complete(producer);
-  }
-  void cancel() override { e_.cancel(); }
-
- private:
-  Engine<Policy>& e_;
-};
-
-template <class Policy>
-RunStats run_graph_impl(const TaskGraph& graph, int b,
-                        const std::function<void(std::int32_t, TileWorkspace&)>&
-                            execute,
-                        const ExecutorOptions& opts,
-                        const PartitionView* view = nullptr,
-                        const std::function<void(RemotePort&)>& port_ready =
-                            {},
-                        const std::function<void()>& before_teardown = {}) {
+// Runs `graph` (with a view: the view's slice of it) on opts.threads
+// workers and merges the per-worker counters.
+RunStats run_graph(const TaskGraph& graph, int b,
+                   const Engine::ExecuteFn& execute,
+                   const ExecutorOptions& opts,
+                   const PartitionView* view = nullptr,
+                   const std::function<void(RemotePort&)>& port_ready = {},
+                   const std::function<void()>& before_teardown = {}) {
+  HQR_CHECK(opts.threads >= 1, "need at least one thread");
+  if (opts.trace) opts.trace->set_labels("worker", "thread");
   Stopwatch sw;
-  Engine<Policy> engine(graph, opts, view);
-  EnginePort<Policy> port(engine);
-  if (port_ready) port_ready(port);
+  Engine engine(graph, opts, view);
+  if (port_ready) port_ready(engine);
   RunStats stats;
   stats.threads = opts.threads;
   std::vector<WorkerStats> per_thread;
-  engine.run(b, execute, opts.threads, per_thread);
+  engine.run(b, execute, per_thread);
   // The port must outlive every thread that can call into it.
   if (before_teardown) before_teardown();
   stats.seconds = sw.seconds();
@@ -627,17 +486,6 @@ RunStats run_graph_impl(const TaskGraph& graph, int b,
   return stats;
 }
 
-RunStats run_graph(const TaskGraph& graph, int b,
-                   const std::function<void(std::int32_t, TileWorkspace&)>&
-                       execute,
-                   const ExecutorOptions& opts) {
-  HQR_CHECK(opts.threads >= 1, "need at least one thread");
-  if (opts.trace) opts.trace->set_labels("worker", "thread");
-  if (opts.scheduler == SchedulerKind::Global)
-    return run_graph_impl<GlobalQueuePolicy>(graph, b, execute, opts);
-  return run_graph_impl<StealPolicy>(graph, b, execute, opts);
-}
-
 }  // namespace
 
 RunStats execute_parallel(QRFactors& f, const TaskGraph& graph,
@@ -662,17 +510,12 @@ RunStats execute_partition(QRFactors& f, const TaskGraph& graph,
   HQR_CHECK(view.task_rank != nullptr &&
                 static_cast<int>(view.task_rank->size()) == graph.size(),
             "partition view task_rank must cover the graph");
-  HQR_CHECK(opts.threads >= 1, "need at least one thread");
-  if (opts.trace) opts.trace->set_labels("worker", "thread");
-  const auto execute = [&](std::int32_t idx, TileWorkspace& ws) {
-    execute_kernel(f.kernels()[idx], f, ws);
-  };
-  if (opts.scheduler == SchedulerKind::Global)
-    return run_graph_impl<GlobalQueuePolicy>(graph, f.b(), execute, opts,
-                                             &view, port_ready,
-                                             before_teardown);
-  return run_graph_impl<StealPolicy>(graph, f.b(), execute, opts, &view,
-                                     port_ready, before_teardown);
+  return run_graph(
+      graph, f.b(),
+      [&](std::int32_t idx, TileWorkspace& ws) {
+        execute_kernel(f.kernels()[idx], f, ws);
+      },
+      opts, &view, port_ready, before_teardown);
 }
 
 QRFactors qr_factorize_parallel(const Matrix& a, int b,

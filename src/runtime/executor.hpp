@@ -6,14 +6,12 @@
 // (critical-path depth), and a worker preferentially continues with a
 // successor of the task it just finished (data-reuse heuristic), falling
 // back to its own ready deque and stealing from other workers when that
-// runs dry. A single locked priority queue is retained as an ablation
-// baseline (SchedulerKind::Global).
+// runs dry.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/factorization.hpp"
@@ -24,20 +22,6 @@
 
 namespace hqr {
 
-// Ready-task management backend (the --sched={steal,global} ablation).
-enum class SchedulerKind {
-  // Per-worker Chase–Lev deques with randomized stealing and a shared
-  // priority overflow heap (default; decentralized, scales with workers).
-  Steal,
-  // One mutex+condvar priority queue shared by all workers (the original
-  // scheduler, kept as the differential baseline).
-  Global,
-};
-
-// Parses "steal"/"global"; throws hqr::Error on anything else.
-SchedulerKind scheduler_kind_from_name(const std::string& name);
-const char* scheduler_kind_name(SchedulerKind kind);
-
 struct RunStats {
   double seconds = 0.0;
   int threads = 0;
@@ -45,9 +29,8 @@ struct RunStats {
   long long total_tasks = 0;
 
   // Scheduler counters (always collected; no clock reads involved).
-  // Invariant: reuse_hits + queue_pops == total_tasks under both backends;
-  // under SchedulerKind::Steal, queue_pops further splits into
-  // local_hits + steals + overflow_pops (all zero under Global).
+  // Invariant: reuse_hits + queue_pops == total_tasks, and queue_pops
+  // splits into local_hits + steals + overflow_pops.
   long long reuse_hits = 0;   // tasks taken via the data-reuse keep
   long long queue_pops = 0;   // tasks acquired from any ready queue/deque
   long long local_hits = 0;     // popped from the worker's own deque
@@ -55,10 +38,11 @@ struct RunStats {
   long long steal_fails = 0;    // empty-victim or lost-race steal attempts
   long long overflow_pops = 0;  // taken from the shared overflow heap
 
-  // Locality accounting (Steal backend only): every queue pop is a hit when
-  // the task's producing worker shares the acquiring worker's LLC domain
-  // (own-deque pops included), a miss otherwise (including tasks with no
-  // local producer, e.g. roots and remote releases).
+  // Locality accounting (multi-thread runs with a usable topology): every
+  // queue pop is a hit when the task's producing worker shares the
+  // acquiring worker's LLC domain (own-deque pops included), a miss
+  // otherwise (including tasks with no local producer, e.g. roots and
+  // remote releases).
   long long locality_hits = 0;
   long long locality_misses = 0;
   double locality_hit_rate() const {
@@ -91,22 +75,13 @@ struct RunStats {
 
 struct ExecutorOptions {
   int threads = 1;
-  // Use critical-path depth as priority (true) or FIFO order (false) —
-  // the scheduler-priority ablation bench flips this.
-  bool priority_scheduling = true;
-  // Data-reuse heuristic: keep one ready successor local to the worker.
-  bool data_reuse = true;
   // Inner block size for the kernels (0 = default_ib(b)).
   int ib = 0;
-  // Ready-task backend: per-worker stealing deques (default) or the single
-  // locked priority queue baseline.
-  SchedulerKind scheduler = SchedulerKind::Steal;
-  // Locality-aware stealing (Steal backend): order steal victims
-  // topology-near-first so stolen tasks are more likely to have warm tiles.
-  // Degrades to the plain randomized sweep on single-domain machines.
-  bool locality_stealing = true;
-  // Worker topology override for tests/benchmarks; null = detect the host
-  // topology once and pin lanes round-robin.
+  // Steal victims are swept topology-near-first so stolen tasks are more
+  // likely to have warm tiles; single-domain machines keep the plain
+  // randomized sweep. Override for tests/benchmarks; null = the host
+  // topology, detected once per process, with lanes pinned round-robin.
+  // An override built for another worker count is ignored.
   const WorkerTopology* topology = nullptr;
   // Observability sinks (obs/). Null = disabled; enabling costs two clock
   // reads per task plus lock-free per-lane appends / atomic updates.

@@ -1,7 +1,7 @@
-// Ready-task heap entry shared by the scheduling backends: the single-DAG
-// engine's policies (runtime/executor.cpp) and the multi-DAG pool
-// (runtime/dag_pool.cpp) order ready tasks the same way — max-heap by
-// critical-path priority, FIFO-ish tiebreak on task index.
+// Ready-task heap entry shared by the single-DAG engine's overflow heap
+// (runtime/executor.cpp) and the multi-DAG pool (runtime/dag_pool.cpp),
+// which order ready tasks the same way — max-heap by critical-path
+// priority, FIFO-ish tiebreak on task index.
 #pragma once
 
 #include <cstdint>

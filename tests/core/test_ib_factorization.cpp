@@ -67,7 +67,7 @@ TEST(IbFactorizationRuntime, ParallelMatchesSequentialBitwise) {
   Matrix a0 = random_gaussian(32, 16, rng);
   auto list = greedy_global_list(8, 4).list;
   QRFactors seq = qr_factorize_sequential(a0, 4, list, 2);
-  ExecutorOptions opts{4, true, true, /*ib=*/2};
+  ExecutorOptions opts{.threads = 4, .ib = 2};
   QRFactors par = qr_factorize_parallel(a0, 4, list, opts);
   Matrix rs = extract_r(seq);
   Matrix rp = extract_r(par);
@@ -80,7 +80,7 @@ TEST(IbFactorizationRuntime, ParallelQBuildWithIb) {
   TiledMatrix probe = TiledMatrix::from_matrix(a0, 4);
   HqrConfig cfg{2, 2, TreeKind::Binary, TreeKind::Flat, true};
   auto list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-  ExecutorOptions opts{4, true, true, /*ib=*/2};
+  ExecutorOptions opts{.threads = 4, .ib = 2};
   QRFactors f = qr_factorize_parallel(a0, 4, list, opts);
   Matrix q = build_q_parallel(f, opts);
   EXPECT_LT(orthogonality_error(q.view()), kTol);

@@ -49,6 +49,41 @@ std::shared_ptr<const TaskGraph> one_task_graph() {
   return std::make_shared<const TaskGraph>(ks, 1, 1);
 }
 
+// Holds every worker of a pool: `workers` independent tasks that wait on
+// one shared future, at a priority above the DAGs a test submits after it.
+// Those DAGs are admitted but provably unrun until release(): a free worker
+// always takes a remaining blocker task first and then holds it.
+class Blocker {
+ public:
+  Blocker(DagPool& pool, int workers) {
+    KernelList ks;
+    for (int i = 0; i < workers; ++i)
+      ks.push_back({KernelType::GEQRT, i, i, 0, -1});
+    DagSubmitOptions sopts;
+    sopts.priority = 1;
+    id_ = pool.submit(std::make_shared<const TaskGraph>(ks, workers, 1), 1,
+                      [gate = gate_](std::int32_t, TileWorkspace&) {
+                        gate.wait();
+                      },
+                      sopts);
+  }
+  // Also on an early test exit, so the pool is never torn down while its
+  // workers wait here.
+  ~Blocker() { release(); }
+
+  void release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+  DagId id() const { return id_; }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+  bool released_ = false;
+  DagId id_ = 0;
+};
+
 TEST(DagPool, SingleDagBitIdenticalToSequential) {
   // Kernels write disjoint tile regions in dependency order, so any valid
   // pool schedule must reproduce the sequential R to the last bit.
@@ -75,7 +110,7 @@ TEST(DagPool, SingleDagBitIdenticalToExecutorPath) {
   Rng rng(5);
   Matrix a0 = random_gaussian(36, 20, rng);
   auto list = per_panel_tree_list(TreeKind::Binary, 9, 5);
-  ExecutorOptions eopts{4, true, true};
+  ExecutorOptions eopts{.threads = 4};
   QRFactors par = qr_factorize_parallel(a0, 4, list, eopts);
 
   DagPoolOptions opts;
@@ -88,39 +123,32 @@ TEST(DagPool, SingleDagBitIdenticalToExecutorPath) {
 }
 
 TEST(DagPool, EightConcurrentDagsOnOnePool) {
-  // Gate every DAG on its (external) root so all eight are provably active
-  // at once, then release them and check each result independently.
+  // A blocker holds every worker, so all eight DAGs are provably active at
+  // once; then it lets go and each result is checked independently.
   constexpr int kDags = 8;
   Rng rng(7);
   DagPoolOptions opts;
   opts.threads = 4;
   DagPool pool(opts);
+  Blocker blocker(pool, opts.threads);
 
   std::vector<Matrix> inputs;
   std::vector<Job> jobs;
   std::vector<DagId> ids;
-  std::vector<std::unique_ptr<RemotePort>> ports;
   for (int d = 0; d < kDags; ++d) {
     // Different shapes per request, like a multi-tenant mix.
     const int mt = 2 + d % 3, nt = 1 + d % 2;
     inputs.push_back(random_gaussian(8 * mt, 8 * nt, rng));
     jobs.push_back(make_job(inputs.back(), 8, flat_ts_list(mt, nt)));
-    DagSubmitOptions sopts;
-    sopts.external_tasks = {0};
-    ids.push_back(pool.submit(jobs[d].graph, 8, exec_fn(jobs[d].f), sopts));
-    ports.push_back(pool.port(ids.back()));
+    ids.push_back(pool.submit(jobs[d].graph, 8, exec_fn(jobs[d].f)));
   }
-  EXPECT_EQ(pool.active_dags(), kDags);
+  EXPECT_EQ(pool.active_dags(), kDags + 1);  // the blocker counts too
+  EXPECT_EQ(pool.stats().tasks_executed, 0);
 
-  // Run each root "externally" (exactly what a remote rank does), then
-  // feed the completion through the per-DAG port.
-  for (int d = 0; d < kDags; ++d) {
-    TileWorkspace ws(8);
-    execute_kernel(jobs[d].f->kernels()[0], *jobs[d].f, ws);
-    ports[d]->remote_complete(0);
-  }
+  blocker.release();
+  EXPECT_TRUE(pool.wait(blocker.id()));
   for (int d = 0; d < kDags; ++d) EXPECT_TRUE(pool.wait(ids[d]));
-  EXPECT_GE(pool.stats().max_active_dags, kDags);
+  EXPECT_GE(pool.stats().max_active_dags, kDags + 1);
 
   for (int d = 0; d < kDags; ++d) {
     QRFactors seq = qr_factorize_sequential(
@@ -130,43 +158,6 @@ TEST(DagPool, EightConcurrentDagsOnOnePool) {
         0.0)
         << "dag " << d;
   }
-}
-
-TEST(DagPool, ExternalCompletionIsNamespacedByDag) {
-  // Regression: external completions used to be keyed by bare task id, so
-  // a completion for DAG B's task 0 could release DAG A's successors. The
-  // port binds the DAG id; completing B must not advance A.
-  Rng rng(11);
-  Matrix a = random_gaussian(32, 8, rng);
-  auto list = flat_ts_list(4, 1);  // a single chain rooted at task 0
-  DagPoolOptions opts;
-  opts.threads = 2;
-  DagPool pool(opts);
-
-  Job ja = make_job(a, 8, list);
-  Job jb = make_job(a, 8, list);
-  DagSubmitOptions sopts;
-  sopts.external_tasks = {0};
-  DagId ida = pool.submit(ja.graph, 8, exec_fn(ja.f), sopts);
-  DagId idb = pool.submit(jb.graph, 8, exec_fn(jb.f), sopts);
-  auto porta = pool.port(ida);
-  auto portb = pool.port(idb);
-
-  TileWorkspace ws(8);
-  execute_kernel(jb.f->kernels()[0], *jb.f, ws);
-  portb->remote_complete(0);
-  EXPECT_TRUE(pool.wait(idb));
-  // A's root was never completed: it must still be pending, not finished
-  // by B's identically-numbered task.
-  EXPECT_EQ(pool.active_dags(), 1);
-
-  execute_kernel(ja.f->kernels()[0], *ja.f, ws);
-  porta->remote_complete(0);
-  EXPECT_TRUE(pool.wait(ida));
-
-  QRFactors seq = qr_factorize_sequential(a, 8, list);
-  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*ja.f).view()), 0.0);
-  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*jb.f).view()), 0.0);
 }
 
 TEST(DagPool, HigherPriorityDagRunsFirst) {
@@ -250,12 +241,13 @@ TEST(DagPool, CancelledDagReportsCancelled) {
   DagPoolOptions opts;
   opts.threads = 2;
   DagPool pool(opts);
-  // Gated on an external root that never completes: deterministic cancel.
+  // The blocker holds both workers, so the DAG is still unrun when it is
+  // cancelled: a deterministic cancel.
+  Blocker blocker(pool, opts.threads);
   Rng rng(17);
   Matrix a = random_gaussian(16, 8, rng);
   Job j = make_job(a, 8, flat_ts_list(2, 1));
   DagSubmitOptions sopts;
-  sopts.external_tasks = {0};
   bool done_cancelled = false;
   sopts.on_done = [&](DagId, bool cancelled) { done_cancelled = cancelled; };
   DagId id = pool.submit(j.graph, 8, exec_fn(j.f), sopts);
@@ -265,6 +257,10 @@ TEST(DagPool, CancelledDagReportsCancelled) {
   EXPECT_TRUE(done_cancelled);
   EXPECT_EQ(pool.stats().dags_cancelled, 1);
   EXPECT_FALSE(pool.cancel(id));  // already gone
+
+  blocker.release();
+  EXPECT_TRUE(pool.wait(blocker.id()));
+  EXPECT_EQ(pool.stats().tasks_executed, opts.threads);  // the blocker's
 }
 
 TEST(DagPool, ThrowingKernelPoisonsOnlyItsOwnDag) {
@@ -330,52 +326,45 @@ TEST(DagPool, StatsCountTasksAndDags) {
 }
 
 TEST(DagPool, AdmissionLimitThrowsTypedOverload) {
-  // Deterministic via external-root gating: DAGs held open on their
-  // ungated root keep the pool at its bound without timing assumptions.
+  // Deterministic: a blocker holds the only worker, so the DAGs under test
+  // stay admitted and unfinished without timing assumptions. The blocker
+  // counts toward the bound.
   DagPoolOptions opts;
   opts.threads = 1;
-  opts.max_active_dags = 2;
+  opts.max_active_dags = 3;
   DagPool pool(opts);
+  Blocker blocker(pool, opts.threads);
 
-  Rng rng(29);
-  DagSubmitOptions gated;
-  gated.external_tasks = {0};
   const auto open_dag = [&](const DagSubmitOptions& sopts) {
-    Matrix a = random_gaussian(16, 8, rng);
-    Job j = make_job(a, 8, flat_ts_list(2, 1));
-    DagId id = pool.submit(j.graph, 8, exec_fn(j.f), sopts);
-    return std::make_pair(j, id);
+    return pool.submit(one_task_graph(), 1,
+                       [](std::int32_t, TileWorkspace&) {}, sopts);
   };
-  const auto release = [&](const std::pair<Job, DagId>& d) {
-    TileWorkspace ws(8);
-    execute_kernel(d.first.f->kernels()[0], *d.first.f, ws);
-    pool.port(d.second)->remote_complete(0);
-    EXPECT_TRUE(pool.wait(d.second));
-  };
-
-  auto a = open_dag(gated);
-  auto b = open_dag(gated);
-  EXPECT_EQ(pool.active_dags(), 2);
+  const DagId a = open_dag({});
+  const DagId b = open_dag({});
+  EXPECT_EQ(pool.active_dags(), 3);
 
   // At the bound: a plain submit is refused with the typed overload (a
   // subclass of Error, so teardown-hardened callers still catch it).
-  EXPECT_THROW(open_dag(gated), PoolOverloaded);
-  EXPECT_THROW(open_dag(gated), Error);
+  EXPECT_THROW(open_dag({}), PoolOverloaded);
+  EXPECT_THROW(open_dag({}), Error);
 
   // Internal continuation DAGs bypass the limit and still run.
-  DagSubmitOptions bypass = gated;
+  DagSubmitOptions bypass;
   bypass.bypass_admission_limit = true;
-  auto c = open_dag(bypass);
-  EXPECT_EQ(pool.active_dags(), 3);
+  const DagId c = open_dag(bypass);
+  EXPECT_EQ(pool.active_dags(), 4);
 
   // Draining below the bound frees a slot for the next submit (the
-  // bypassed DAG counts toward active while it lives, so both must go).
-  release(a);
-  release(c);
-  auto d = open_dag(gated);
+  // bypassed DAG counts toward active while it lives, so one cancel is not
+  // enough).
+  EXPECT_TRUE(pool.cancel(a));
+  EXPECT_THROW(open_dag({}), PoolOverloaded);
+  EXPECT_TRUE(pool.cancel(b));
+  const DagId d = open_dag({});
 
-  release(b);
-  release(d);
+  blocker.release();
+  EXPECT_TRUE(pool.wait(c));
+  EXPECT_TRUE(pool.wait(d));
   pool.wait_all();
   EXPECT_EQ(pool.active_dags(), 0);
 }

@@ -33,7 +33,7 @@ TEST_P(ParallelQ, BuildQMatchesSequentialBitwise) {
   Matrix a0 = random_gaussian(36, 20, rng);
   QRFactors f = make_factors(a0, 4);
   Matrix q_seq = build_q(f);
-  ExecutorOptions opts{threads, true, true};
+  ExecutorOptions opts{.threads = threads};
   RunStats stats;
   Matrix q_par = build_q_parallel(f, opts, &stats);
   EXPECT_EQ(max_abs_diff(q_seq.view(), q_par.view()), 0.0);
@@ -50,7 +50,7 @@ TEST_P(ParallelQ, ApplyQMatchesSequentialBitwise) {
     TiledMatrix c_seq = TiledMatrix::from_matrix(c0, 4);
     apply_q(f, trans, c_seq);
     TiledMatrix c_par = TiledMatrix::from_matrix(c0, 4);
-    ExecutorOptions opts{threads, true, true};
+    ExecutorOptions opts{.threads = threads};
     apply_q_parallel(f, trans, c_par, opts);
     Matrix ms = c_seq.to_matrix();
     Matrix mp = c_par.to_matrix();
@@ -84,7 +84,7 @@ TEST_P(ParallelQNarrow, AppliesToRealColumnsOnly) {
       c->set(c->padded_m() - 1, c->padded_n() - 1, kSentinel);
     }
     apply_q(f, trans, c_seq);
-    apply_q_parallel(f, trans, c_par, ExecutorOptions{4, true, true});
+    apply_q_parallel(f, trans, c_par, ExecutorOptions{.threads = 4});
     const Matrix ms = c_seq.to_padded_matrix();
     const Matrix mp = c_par.to_padded_matrix();
     EXPECT_EQ(max_abs_diff(ms.view(), mp.view()), 0.0);
@@ -113,12 +113,12 @@ TEST_P(ParallelQNarrow, DenseMatchesTiledBitwise) {
   for (Trans trans : {Trans::Yes, Trans::No}) {
     for (int threads : {1, 4}) {
       TiledMatrix tiled = TiledMatrix::from_matrix(c0, b);
-      apply_q_parallel(f, trans, tiled, ExecutorOptions{threads, true, true});
+      apply_q_parallel(f, trans, tiled, ExecutorOptions{.threads = threads});
       const Matrix want = tiled.to_padded_matrix();
       Matrix dense(pm, nc);
       copy(c0.view(), dense.block(0, 0, c0.rows(), nc));
       apply_q_parallel(f, trans, dense.view(),
-                       ExecutorOptions{threads, true, true});
+                       ExecutorOptions{.threads = threads});
       EXPECT_EQ(max_abs_diff(want.block(0, 0, pm, nc), dense.view()), 0.0);
     }
   }
@@ -130,7 +130,7 @@ TEST(ParallelQ, DenseWithoutWholeTileRowsThrows) {
   Rng rng(46);
   QRFactors f = make_factors(random_gaussian(10, 8, rng), 4);
   Matrix c(10, 3);  // the factors' padded_m is 12
-  EXPECT_THROW(apply_q_parallel(f, Trans::Yes, c.view(), ExecutorOptions{2, true, true}),
+  EXPECT_THROW(apply_q_parallel(f, Trans::Yes, c.view(), ExecutorOptions{.threads = 2}),
                Error);
 }
 
@@ -140,7 +140,7 @@ TEST(ParallelQ, RoundTripThroughRuntime) {
   QRFactors f = make_factors(a0, 3);
   Matrix c0 = random_gaussian(24, 6, rng);
   TiledMatrix c = TiledMatrix::from_matrix(c0, 3);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   apply_q_parallel(f, Trans::Yes, c, opts);
   apply_q_parallel(f, Trans::No, c, opts);
   Matrix back = c.to_matrix();
@@ -154,7 +154,7 @@ TEST(ParallelQ, FullPipelineFactorizeBuildSolve) {
   TiledMatrix probe = TiledMatrix::from_matrix(a0, 4);
   HqrConfig cfg{2, 2, TreeKind::Binary, TreeKind::Flat, false};
   auto list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   QRFactors f = qr_factorize_parallel(a0, 4, list, opts);
   Matrix q = build_q_parallel(f, opts);
   EXPECT_LT(orthogonality_error(q.view()), 1e-12);
@@ -168,7 +168,7 @@ TEST(ParallelQ, MismatchedTilesThrow) {
   Matrix a0 = random_gaussian(8, 8, rng);
   QRFactors f = make_factors(a0, 4);
   TiledMatrix c(8, 4, 2);
-  ExecutorOptions opts{2, true, true};
+  ExecutorOptions opts{.threads = 2};
   EXPECT_THROW(apply_q_parallel(f, Trans::Yes, c, opts), Error);
 }
 

@@ -135,28 +135,22 @@ TEST(Partition, CancelUnblocksStarvedEngine) {
   Problem p = make_problem(128, 64, 32, dist);
   QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
 
-  for (SchedulerKind sched : {SchedulerKind::Steal, SchedulerKind::Global}) {
-    SCOPED_TRACE(scheduler_kind_name(sched));
-    QRFactors g(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
-    PartitionView view;
-    view.task_rank = &p.plan.node();
-    view.my_rank = 1;  // rank 1 needs rank 0's tiles, which never come
-    ExecutorOptions opts;
-    opts.threads = 2;
-    opts.scheduler = sched;
-    std::thread killer;
-    const RunStats stats = execute_partition(
-        g, p.graph, opts, view,
-        [&](RemotePort& pt) {
-          killer = std::thread([&pt] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            pt.cancel();
-          });
-        },
-        [&] { killer.join(); });
-    // The engine returned (did not hang) without running its whole slice.
-    EXPECT_LT(stats.total_tasks, p.graph.size());
-  }
+  PartitionView view;
+  view.task_rank = &p.plan.node();
+  view.my_rank = 1;  // rank 1 needs rank 0's tiles, which never come
+  ExecutorOptions opts{.threads = 2};
+  std::thread killer;
+  const RunStats stats = execute_partition(
+      f, p.graph, opts, view,
+      [&](RemotePort& pt) {
+        killer = std::thread([&pt] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          pt.cancel();
+        });
+      },
+      [&] { killer.join(); });
+  // The engine returned (did not hang) without running its whole slice.
+  EXPECT_LT(stats.total_tasks, p.graph.size());
 }
 
 }  // namespace

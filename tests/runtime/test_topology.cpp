@@ -146,9 +146,7 @@ TEST(LocalityStealing, EveryQueuePopIsClassified) {
   // With an injected topology every acquired task is either a locality hit
   // or a miss — the split partitions queue_pops exactly.
   const WorkerTopology wt = WorkerTopology::build(two_socket_four_llc(), 4);
-  ExecutorOptions opts;
-  opts.threads = 4;
-  opts.topology = &wt;
+  ExecutorOptions opts{.threads = 4, .topology = &wt};
   const RunStats stats = run_small_factorization(opts);
   EXPECT_GT(stats.total_tasks, 0);
   EXPECT_EQ(stats.locality_hits + stats.locality_misses, stats.queue_pops);
@@ -157,52 +155,49 @@ TEST(LocalityStealing, EveryQueuePopIsClassified) {
   EXPECT_LE(rate, 1.0);
 }
 
-TEST(LocalityStealing, DisabledMeansNoAccounting) {
-  ExecutorOptions opts;
-  opts.threads = 4;
-  opts.locality_stealing = false;
-  const RunStats stats = run_small_factorization(opts);
-  EXPECT_EQ(stats.locality_hits, 0);
-  EXPECT_EQ(stats.locality_misses, 0);
-  EXPECT_EQ(stats.locality_hit_rate(), 0.0);
-}
-
 TEST(LocalityStealing, MismatchedTopologyIsIgnored) {
   // A topology built for a different worker count cannot be used; the run
   // must still complete (plain randomized stealing, no counters).
   const WorkerTopology wt = WorkerTopology::build(two_socket_four_llc(), 8);
-  ExecutorOptions opts;
-  opts.threads = 4;
-  opts.topology = &wt;
+  ExecutorOptions opts{.threads = 4, .topology = &wt};
   const RunStats stats = run_small_factorization(opts);
   EXPECT_GT(stats.total_tasks, 0);
   EXPECT_EQ(stats.locality_hits, 0);
   EXPECT_EQ(stats.locality_misses, 0);
 }
 
-TEST(LocalityStealing, ResultsMatchPlainStealingBitwise) {
+TEST(LocalityStealing, ResultsMatchSequentialBitwise) {
   // Victim ordering changes the schedule, never the numbers: kernels on
-  // disjoint tiles commute exactly (same invariant the scheduler
-  // equivalence suite pins for steal-vs-global).
+  // disjoint tiles commute exactly (the invariant the scheduler
+  // equivalence suite pins at every thread count).
   Rng rng(654);
   Matrix a0 = random_gaussian(40, 20, rng);
   auto list = hqr_elimination_list(
       10, 5, HqrConfig{2, 2, TreeKind::Binary, TreeKind::Flat, true});
   const WorkerTopology wt = WorkerTopology::build(two_socket_four_llc(), 4);
-  ExecutorOptions with;
-  with.threads = 4;
-  with.topology = &wt;
-  ExecutorOptions without;
-  without.threads = 4;
-  without.locality_stealing = false;
-  Matrix r_with = extract_r(qr_factorize_parallel(a0, 4, list, with));
-  Matrix r_without = extract_r(qr_factorize_parallel(a0, 4, list, without));
-  EXPECT_EQ(max_abs_diff(r_with.view(), r_without.view()), 0.0);
+  ExecutorOptions opts{.threads = 4, .topology = &wt};
+  const Matrix par =
+      qr_factorize_parallel(a0, 4, list, opts).a().to_padded_matrix();
+  const Matrix seq =
+      qr_factorize_sequential(a0, 4, list).a().to_padded_matrix();
+  EXPECT_EQ(max_abs_diff(par.view(), seq.view()), 0.0);
+}
+
+TEST(LocalityStealing, HostTopologyClassifiesEveryQueuePop) {
+  // Without an injected topology a multi-thread run uses the host's, read
+  // once per process and laid out for each run's own worker count: every
+  // queue pop is classified, whatever the thread count of earlier runs.
+  for (int threads : {2, 4, 8, 3}) {
+    ExecutorOptions opts{.threads = threads};
+    const RunStats stats = run_small_factorization(opts);
+    EXPECT_GT(stats.queue_pops, 0) << threads << " threads";
+    EXPECT_EQ(stats.locality_hits + stats.locality_misses, stats.queue_pops)
+        << threads << " threads";
+  }
 }
 
 TEST(LocalityStealing, SingleThreadHasNoLocalityMachinery) {
-  ExecutorOptions opts;
-  opts.threads = 1;
+  ExecutorOptions opts{.threads = 1};
   const RunStats stats = run_small_factorization(opts);
   EXPECT_GT(stats.total_tasks, 0);
   EXPECT_EQ(stats.locality_hits, 0);

@@ -1,8 +1,8 @@
 // Real-execution benchmark of the shared-memory runtime ("DAGuE-lite"):
 // factors an actual matrix with the from-scratch kernels across thread
 // counts. On a many-core host this shows the parallel scaling of the tile
-// DAG. Pass --json=PATH for machine-readable results with the per-run
-// scheduler counters (local hits, steals, overflow pops).
+// DAG. Pass --json=PATH for machine-readable results (seconds, GFlop/s and
+// task count per thread count).
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -31,18 +31,14 @@ void write_json(const std::string& path, int m, int n, int b, int ib,
                 const std::vector<RunRow>& rows) {
   std::ofstream out(path);
   HQR_CHECK(out.good(), "cannot write " << path);
-  out << "{\n  \"schema\": \"hqr-bench-runtime-v2\",\n"
+  out << "{\n  \"schema\": \"hqr-bench-runtime-v3\",\n"
       << "  \"m\": " << m << ", \"n\": " << n << ", \"b\": " << b
       << ", \"ib\": " << ib << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
     out << "    {\"threads\": " << r.threads << ", \"seconds\": " << r.seconds
         << ", \"gflops\": " << r.gflops << ", \"tasks\": "
-        << r.stats.total_tasks << ", \"reuse_hits\": " << r.stats.reuse_hits
-        << ", \"queue_pops\": " << r.stats.queue_pops << ", \"local_hits\": "
-        << r.stats.local_hits << ", \"steals\": " << r.stats.steals
-        << ", \"steal_fails\": " << r.stats.steal_fails
-        << ", \"overflow_pops\": " << r.stats.overflow_pops << "}"
+        << r.stats.total_tasks << "}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
@@ -73,8 +69,7 @@ int main(int argc, char** argv) {
   const double gflop = qr_useful_flops(m, n) / 1e9;
 
   std::vector<RunRow> rows;
-  TextTable table({"threads", "seconds", "GFlop/s", "tasks", "local",
-                   "steals", "overflow"});
+  TextTable table({"threads", "seconds", "GFlop/s", "tasks"});
   for (int threads : {1, 2, 4, 8}) {
     ExecutorOptions opts{.threads = threads, .ib = ib};
     RunStats stats;
@@ -86,10 +81,7 @@ int main(int argc, char** argv) {
         .add(threads)
         .add(secs, 4)
         .add(gflop / secs, 4)
-        .add(stats.total_tasks)
-        .add(stats.local_hits)
-        .add(stats.steals)
-        .add(stats.overflow_pops);
+        .add(stats.total_tasks);
     rows.push_back({threads, secs, gflop / secs, stats});
   }
   bench::emit(table, cli, "Runtime scaling (real kernels, this host)");
@@ -107,10 +99,8 @@ int main(int argc, char** argv) {
     TaskGraph graph(kernels, mt, nt);
     QRFactors f(std::move(tiled), std::move(kernels), opts.ib);
     RunStats stats = execute_parallel(f, graph, opts);
-    std::cout << "\nobserved rerun (8 threads): " << stats.local_hits
-              << " local pops, " << stats.steals << " steals, "
-              << stats.steal_fails << " failed attempts, "
-              << stats.overflow_pops << " overflow pops\n";
+    std::cout << "\nobserved rerun (8 threads): " << stats.total_tasks
+              << " tasks in " << stats.seconds << " s\n";
     obs.finish(&graph);
   }
   return 0;

@@ -73,9 +73,7 @@ int main(int argc, char** argv) {
   Stopwatch sw;
   RunStats stats = execute_parallel(f, graph, opts);
   std::cout << "factorized in " << sw.seconds() << " s with " << stats.threads
-            << " threads (" << stats.total_tasks << " kernel tasks, "
-            << 100.0 * stats.reuse_hit_rate() << "% data-reuse hits, "
-            << stats.steals << " steals)\n";
+            << " threads (" << stats.total_tasks << " kernel tasks)\n";
   obs.finish(&graph);
 
   // 4. Verify.

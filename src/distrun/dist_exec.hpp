@@ -4,7 +4,7 @@
 // Every rank holds a full replica of the input matrix, deterministically
 // rebuilds the same kernel list, task graph and communication plan
 // (dag/partition.hpp), and executes the owner-computes slice of the DAG on
-// the shared-memory work-stealing executor. Remote dependencies flow as
+// the shared-memory executor's task pool. Remote dependencies flow as
 // tagged tile messages driven by a dedicated communication thread; a
 // completed task's output regions reach each consuming rank exactly once,
 // either posted directly by the producer or relayed down a binomial

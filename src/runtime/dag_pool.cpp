@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <queue>
 #include <sstream>
@@ -10,11 +11,23 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "runtime/ready_task.hpp"
+#include "common/stopwatch.hpp"
 
 namespace hqr {
 
 namespace {
+
+// Ready-queue entry: max-heap by critical-path priority, the lower task
+// index first among equals.
+struct ReadyTask {
+  double priority;
+  std::int32_t idx;
+
+  bool operator<(const ReadyTask& o) const {
+    if (priority != o.priority) return priority < o.priority;
+    return idx > o.idx;
+  }
+};
 
 struct DagState {
   DagId id = 0;
@@ -23,15 +36,37 @@ struct DagState {
   DagPool::ExecuteFn exec;
   int priority = 0;
   std::function<void(DagId, bool)> on_done;
+  std::vector<bool> remote;  // tasks the pool never runs
+  DagWaits* waits = nullptr;
+  double admitted = 0.0;  // clock at admission; read for observed DAGs only
 
   std::vector<int> npred;       // outstanding predecessors per task
   std::vector<double> depth;    // critical-path priority within the DAG
   std::priority_queue<ReadyTask> ready;
-  long long remaining = 0;  // tasks not yet executed
+  long long remaining = 0;  // local tasks not yet executed
   long long delivered = 0;  // tasks handed to workers (the fairness key)
   long long inflight = 0;   // tasks currently executing
   bool cancelled = false;
   bool done = false;
+  std::exception_ptr error;  // the first task exception; it cancelled the DAG
+
+  bool is_remote(std::int32_t i) const {
+    return !remote.empty() && remote[static_cast<std::size_t>(i)];
+  }
+};
+
+// A finished DAG, kept until wait() reads it.
+struct Outcome {
+  bool completed = false;
+  std::exception_ptr error;
+};
+
+// A worker's wait for ready work, as observed DAGs book it.
+struct WorkerWait {
+  bool waiting = false;
+  // Clock at the wait's start, or at the first observed DAG's admission
+  // during it; < 0 = untimed.
+  double since = -1.0;
 };
 
 }  // namespace
@@ -39,9 +74,10 @@ struct DagState {
 struct DagPool::Impl {
   explicit Impl(const DagPoolOptions& o) : opts(o) {
     HQR_CHECK(opts.threads >= 1, "DagPool needs at least one worker");
+    worker_waits.resize(static_cast<std::size_t>(opts.threads));
     workers.reserve(static_cast<std::size_t>(opts.threads));
     for (int t = 0; t < opts.threads; ++t)
-      workers.emplace_back([this] { worker(); });
+      workers.emplace_back([this, t] { worker(t); });
   }
 
   ~Impl() {
@@ -78,6 +114,30 @@ struct DagPool::Impl {
     ++total_ready;
   }
 
+  // Counts `idx` done for its local successors and queues those that
+  // became ready; wakes as many workers as tasks were queued.
+  void release_locked(DagState& dag, std::int32_t idx) {
+    int released = 0;
+    for (std::int32_t s : dag.graph->successors(idx)) {
+      if (dag.is_remote(s)) continue;
+      if (--dag.npred[static_cast<std::size_t>(s)] == 0) {
+        push_ready_locked(dag, s);
+        ++released;
+      }
+    }
+    if (released == 1)
+      work_cv.notify_one();
+    else if (released > 1)
+      work_cv.notify_all();
+  }
+
+  void cancel_locked(DagState& dag) {
+    if (dag.cancelled) return;
+    dag.cancelled = true;
+    total_ready -= static_cast<long long>(dag.ready.size());
+    dag.ready = {};
+  }
+
   // Finish check; fires on_done outside the lock. `lk` must be held.
   void maybe_finish_locked(std::unique_lock<std::mutex>& lk,
                            const std::shared_ptr<DagState>& dag) {
@@ -85,9 +145,18 @@ struct DagPool::Impl {
     if (!dag->cancelled && dag->remaining > 0) return;
     dag->done = true;
     const bool cancelled = dag->cancelled;
+    if (dag->waits) {
+      // Workers still waiting were waiting for this completion.
+      --observed_live;
+      const double now = monotonic_seconds();
+      for (std::size_t w = 0; w < worker_waits.size(); ++w)
+        if (worker_waits[w].waiting && worker_waits[w].since >= 0.0)
+          dag->waits->terminal[w] +=
+              now - std::max(worker_waits[w].since, dag->admitted);
+    }
     live.erase(dag->id);
     active.erase(std::find(active.begin(), active.end(), dag));
-    outcome.emplace(dag->id, !cancelled);
+    outcome.emplace(dag->id, Outcome{!cancelled, dag->error});
     if (cancelled)
       ++pool_stats.dags_cancelled;
     else
@@ -116,7 +185,24 @@ struct DagPool::Impl {
     }
   }
 
-  void worker() {
+  // Blocks until notified. The clock is read only while an observed DAG is
+  // live. Each observed DAG books the part of the wait that fell in its
+  // life: here as idle, or in maybe_finish_locked as terminal.
+  void wait_for_work(std::unique_lock<std::mutex>& lk, int w) {
+    WorkerWait& ww = worker_waits[static_cast<std::size_t>(w)];
+    ww.waiting = true;
+    ww.since = observed_live > 0 ? monotonic_seconds() : -1.0;
+    work_cv.wait(lk);
+    ww.waiting = false;
+    if (ww.since < 0.0) return;
+    const double now = monotonic_seconds();
+    for (const auto& dag : active)
+      if (dag->waits)
+        dag->waits->idle[static_cast<std::size_t>(w)] +=
+            now - std::max(ww.since, dag->admitted);
+  }
+
+  void worker(int w) {
     // A few workspaces per worker, LRU by tile size — mixed-b tenants reuse
     // scratch instead of reallocating per task, but b is client-controlled,
     // so the cache is capped: a tenant rotating tile sizes cannot grow
@@ -128,7 +214,7 @@ struct DagPool::Impl {
       std::shared_ptr<DagState> dag = pick_best_locked();
       if (!dag) {
         if (stopping && active.empty()) return;
-        work_cv.wait(lk);
+        wait_for_work(lk, w);
         continue;
       }
       const std::int32_t idx = dag->ready.top().idx;
@@ -138,7 +224,7 @@ struct DagPool::Impl {
       ++dag->inflight;
       lk.unlock();
 
-      bool failed = false;
+      std::exception_ptr error;
       try {
         // Workspace lookup/construction sits inside the try: b is sized by
         // the client, so an allocation failure here must poison only the
@@ -160,35 +246,24 @@ struct DagPool::Impl {
           ws_cache.emplace_back(dag->b, std::move(fresh));
           ws = ws_cache.back().second.get();
         }
-        dag->exec(idx, *ws);
+        dag->exec(idx, w, *ws);
       } catch (...) {
-        // A throwing kernel poisons only its own DAG, never the pool: the
-        // DAG is cancelled and its waiter sees "not completed".
-        failed = true;
+        // A throwing task poisons only its own DAG, never the pool: the
+        // DAG is cancelled and its waiter gets the exception.
+        error = std::current_exception();
       }
 
       lk.lock();
       --dag->inflight;
       ++pool_stats.tasks_executed;
       if (opts.metrics) opts.metrics->counter("dagpool.tasks").add(1);
-      if (failed && !dag->cancelled) {
-        dag->cancelled = true;
-        total_ready -= static_cast<long long>(dag->ready.size());
-        dag->ready = {};
+      if (error && !dag->cancelled) {
+        dag->error = error;
+        cancel_locked(*dag);
       }
       if (!dag->cancelled) {
         --dag->remaining;
-        int released = 0;
-        for (std::int32_t s : dag->graph->successors(idx)) {
-          if (--dag->npred[static_cast<std::size_t>(s)] == 0) {
-            push_ready_locked(*dag, s);
-            ++released;
-          }
-        }
-        if (released == 1)
-          work_cv.notify_one();
-        else if (released > 1)
-          work_cv.notify_all();
+        release_locked(*dag, idx);
       }
       maybe_finish_locked(lk, dag);
     }
@@ -196,23 +271,34 @@ struct DagPool::Impl {
 
   DagId submit_dag(std::shared_ptr<const TaskGraph> graph, int b,
                    ExecuteFn exec, DagSubmitOptions sopts) {
-    HQR_CHECK(graph != nullptr && graph->size() > 0,
-              "DagPool::submit needs a non-empty graph");
+    HQR_CHECK(graph != nullptr, "DagPool::submit needs a graph");
     HQR_CHECK(b >= 1, "tile size must be >= 1");
+    const int n = graph->size();
+    HQR_CHECK(sopts.remote.empty() ||
+                  sopts.remote.size() == static_cast<std::size_t>(n),
+              "remote flags must cover the graph");
     auto dag = std::make_shared<DagState>();
     dag->graph = std::move(graph);
     dag->b = b;
     dag->exec = std::move(exec);
     dag->priority = sopts.priority;
     dag->on_done = std::move(sopts.on_done);
-    const int n = dag->graph->size();
+    dag->remote = std::move(sopts.remote);
+    dag->waits = sopts.waits;
     dag->npred.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < n; ++i) {
       dag->npred[static_cast<std::size_t>(i)] = dag->graph->num_predecessors(i);
+      if (!dag->is_remote(i)) ++dag->remaining;
+    }
+    // Priorities come from the whole graph's critical path, also for a
+    // partition: the cluster simulator assumes every node schedules so.
     dag->graph->critical_path(unit_weight_duration, &dag->depth);
-    dag->remaining = n;
+    if (dag->waits) {
+      dag->waits->idle.assign(static_cast<std::size_t>(opts.threads), 0.0);
+      dag->waits->terminal.assign(static_cast<std::size_t>(opts.threads), 0.0);
+    }
 
-    std::lock_guard<std::mutex> lk(mu);
+    std::unique_lock<std::mutex> lk(mu);
     HQR_CHECK(!stopping, "DagPool is shutting down");
     if (opts.max_active_dags > 0 && !sopts.bypass_admission_limit &&
         static_cast<int>(active.size()) >= opts.max_active_dags) {
@@ -222,9 +308,15 @@ struct DagPool::Impl {
       throw PoolOverloaded(os.str());
     }
     dag->id = next_id++;
+    if (dag->waits) {
+      ++observed_live;
+      dag->admitted = monotonic_seconds();
+      for (WorkerWait& ww : worker_waits)
+        if (ww.waiting && ww.since < 0.0) ww.since = dag->admitted;
+    }
     int seeded = 0;
     for (int i = 0; i < n; ++i) {
-      if (dag->npred[static_cast<std::size_t>(i)] == 0) {
+      if (dag->npred[static_cast<std::size_t>(i)] == 0 && !dag->is_remote(i)) {
         push_ready_locked(*dag, i);
         ++seeded;
       }
@@ -243,7 +335,9 @@ struct DagPool::Impl {
       work_cv.notify_one();
     else if (seeded > 1)
       work_cv.notify_all();
-    return dag->id;
+    const DagId id = dag->id;
+    maybe_finish_locked(lk, dag);  // a DAG with no local task is done now
+    return id;
   }
 
   bool wait_dag(DagId id) {
@@ -251,7 +345,11 @@ struct DagPool::Impl {
     done_cv.wait(lk, [&] { return live.find(id) == live.end(); });
     auto it = outcome.find(id);
     HQR_CHECK(it != outcome.end(), "unknown DagId " << id);
-    return it->second;
+    const Outcome o = std::move(it->second);
+    outcome.erase(it);
+    lk.unlock();
+    if (o.error) std::rethrow_exception(o.error);
+    return o.completed;
   }
 
   void wait_all_dags() {
@@ -267,13 +365,16 @@ struct DagPool::Impl {
     auto it = live.find(id);
     if (it == live.end()) return false;
     auto dag = it->second;
-    if (!dag->cancelled) {
-      dag->cancelled = true;
-      total_ready -= static_cast<long long>(dag->ready.size());
-      dag->ready = {};
-    }
+    cancel_locked(*dag);
     maybe_finish_locked(lk, dag);
     return true;
+  }
+
+  void remote_complete(DagId id, std::int32_t producer) {
+    std::lock_guard<std::mutex> lk(mu);
+    auto it = live.find(id);
+    if (it == live.end() || it->second->cancelled) return;
+    release_locked(*it->second, producer);
   }
 
   DagPoolOptions opts;
@@ -282,11 +383,13 @@ struct DagPool::Impl {
   std::condition_variable done_cv;
   std::vector<std::shared_ptr<DagState>> active;  // unfinished, in order
   std::unordered_map<DagId, std::shared_ptr<DagState>> live;
-  std::unordered_map<DagId, bool> outcome;  // finished: completed?
+  std::unordered_map<DagId, Outcome> outcome;  // finished, not yet waited
   DagId next_id = 1;
   bool stopping = false;
   long long total_ready = 0;
   long long callbacks_inflight = 0;  // on_done invocations not yet returned
+  int observed_live = 0;             // live DAGs with a DagWaits sink
+  std::vector<WorkerWait> worker_waits;
   DagPoolStats pool_stats;
   std::vector<std::thread> workers;
 };
@@ -308,6 +411,8 @@ void DagPool::wait_all() { impl_->wait_all_dags(); }
 
 bool DagPool::cancel(DagId id) { return impl_->cancel_dag(id); }
 
+RemotePort DagPool::port(DagId id) { return RemotePort(*this, id); }
+
 int DagPool::active_dags() const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   return static_cast<int>(impl_->active.size());
@@ -322,5 +427,11 @@ DagPoolStats DagPool::stats() const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   return impl_->pool_stats;
 }
+
+void RemotePort::remote_complete(std::int32_t producer) {
+  pool_->impl_->remote_complete(id_, producer);
+}
+
+void RemotePort::cancel() { pool_->cancel(id_); }
 
 }  // namespace hqr

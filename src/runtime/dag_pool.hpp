@@ -1,11 +1,10 @@
-// Multi-DAG worker pool: many task graphs share one set of worker threads.
-//
-// The single-DAG engine in runtime/executor.hpp spins up a thread pool per
-// invocation and runs exactly one graph to completion — the right shape for
-// a batch job, the wrong one for a server that must execute many
-// independent factorizations of wildly different shapes concurrently. The
-// DagPool keeps `threads` workers alive for its whole lifetime and admits
-// task graphs dynamically:
+// Multi-DAG worker pool: many task graphs share one set of long-lived
+// worker threads. This is the library's one ready-task scheduler. The
+// server submits its requests to a pool of its own, and execute_parallel,
+// the Q builders and execute_partition (runtime/executor.hpp) run every
+// call as one DAG on a process-wide pool per thread count, so no call
+// starts threads or builds scratch. The pool admits task graphs
+// dynamically:
 //
 //   * per-DAG completion tracking — every submitted graph carries its own
 //     dependency counters, ready queue, and remaining count; a DAG's
@@ -16,18 +15,20 @@
 //     worker takes from the highest-priority one; among equals, from the
 //     DAG that has been served the fewest tasks so far (so one huge
 //     factorization cannot starve a stream of small ones). Within a DAG,
-//     tasks order by critical-path depth, as in the single-DAG engine.
+//     tasks order by critical-path depth.
+//   * partitions — a DAG may leave some of its tasks to another process
+//     (the distributed runtime's remote tasks). The pool never runs them;
+//     their successors are released through the DAG's RemotePort once
+//     their output has arrived.
 //
-// Scheduling is a single mutex-protected multi-queue rather than the
-// work-stealing deques of the single-DAG engine: admission fairness needs a
-// global view of every DAG's ready set, and small problems reach the pool
-// as one task each (serve/batch.hpp: a batch of thousands of tiny QRs is
-// one DAG of one task per problem), so the per-task pick stays cheap
-// against the work it schedules. The single-DAG
-// execute_parallel path is untouched and stays bit-identical (pinned by
-// tests/runtime/test_dag_pool.cpp, which also pins pool-vs-single-run
-// bit-identity — kernels write disjoint regions in dependency order, so any
-// valid schedule produces the same bits).
+// Scheduling is a single mutex-protected multi-queue. Admission fairness
+// needs a global view of every DAG's ready set, small problems reach the
+// pool as one task each (serve/batch.hpp), and on the measured shapes the
+// locked queue ran within the quartiles of the per-call work-stealing
+// engine it replaced (EXPERIMENTS.md, "One ready-task scheduler").
+// Kernels write disjoint regions in dependency order, so any valid
+// schedule produces the same bits (tests/runtime/test_dag_pool.cpp and
+// test_scheduler_equivalence.cpp pin this).
 #pragma once
 
 #include <cstdint>
@@ -63,12 +64,22 @@ struct DagPoolOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+// Where each worker's waits for ready work went while one DAG was live,
+// indexed by worker. A wait counts only when it began while the DAG was
+// live. The wait the DAG's completion ended is terminal (the termination
+// barrier), every other one idle.
+struct DagWaits {
+  std::vector<double> idle;
+  std::vector<double> terminal;
+};
+
 struct DagSubmitOptions {
   // Admission priority: higher drains first; ties are served fairly
   // (fewest-tasks-delivered DAG first).
   int priority = 0;
   // Invoked exactly once, on the worker that finished the DAG's last task
-  // (or on the thread that observed cancellation complete). May call back
+  // (or on the thread that observed cancellation complete, or on the
+  // submitting thread for a DAG with no task to run). May call back
   // into the pool (e.g. submit a follow-up DAG); runs outside the pool
   // lock. A chained submit can race pool teardown — submit() throws
   // hqr::Error once the destructor has started, so callbacks that chain
@@ -79,6 +90,14 @@ struct DagSubmitOptions {
   // DAGs (e.g. a server chaining Q formation onto a finished factorization)
   // that must be able to drain even when the pool refuses new work.
   bool bypass_admission_limit = false;
+  // Tasks the pool never runs, one flag per task (empty = none): a
+  // partition's remote tasks. Their local successors become ready once
+  // the DAG's RemotePort reports them complete.
+  std::vector<bool> remote;
+  // Non-null: while this DAG is live the pool reads the clock around its
+  // workers' waits and books them here, one entry per worker; read it
+  // after wait() returns. Null (an unobserved DAG): no clock reads.
+  DagWaits* waits = nullptr;
 };
 
 struct DagPoolStats {
@@ -90,11 +109,15 @@ struct DagPoolStats {
   int max_active_dags = 0;
 };
 
+class RemotePort;
+
 class DagPool {
  public:
-  // Runs task `idx` of the submitted graph using the worker's scratch
-  // workspace (sized for the b the DAG was submitted with).
-  using ExecuteFn = std::function<void(std::int32_t, TileWorkspace&)>;
+  // Runs task `idx` of the submitted graph on worker `worker` (in
+  // [0, threads)) with that worker's scratch workspace (sized for the b
+  // the DAG was submitted with).
+  using ExecuteFn =
+      std::function<void(std::int32_t idx, int worker, TileWorkspace&)>;
 
   explicit DagPool(const DagPoolOptions& opts);
   // Cancels every unfinished DAG and joins the workers. Prefer wait_all()
@@ -111,9 +134,10 @@ class DagPool {
                ExecuteFn execute, DagSubmitOptions opts = {});
 
   // Blocks until the DAG finished; true = ran to completion, false =
-  // cancelled. Ids of finished DAGs stay valid indefinitely (the pool keeps
-  // a per-DAG outcome record; a long-lived server retains ~tens of bytes
-  // per request).
+  // cancelled. A task that throws cancels its DAG, and wait() rethrows
+  // the first such exception once the DAG's running tasks have drained.
+  // The pool keeps a finished DAG's outcome (~tens of bytes) until wait()
+  // reads it, so each id is waited at most once.
   bool wait(DagId id);
   // Blocks until no DAG is active AND every on_done callback has returned
   // (including DAGs those callbacks chained via submit()). After wait_all()
@@ -125,6 +149,9 @@ class DagPool {
   // on_done callback still fires (with cancelled = true).
   bool cancel(DagId id);
 
+  // The handle through which the DAG's remote completions arrive.
+  RemotePort port(DagId id);
+
   // Instantaneous gauges for the serving layer.
   int active_dags() const;
   long long ready_tasks() const;
@@ -132,8 +159,27 @@ class DagPool {
   DagPoolStats stats() const;
 
  private:
+  friend class RemotePort;
   struct Impl;
   std::unique_ptr<Impl> impl_;
+};
+
+// Thread-safe handle into one DAG of a pool (DagPool::port), valid while
+// the pool lives. Calls made after the DAG finished are ignored.
+class RemotePort {
+ public:
+  // A remote task finished and its output was applied to local tiles:
+  // release its local successors into the DAG's ready set.
+  void remote_complete(std::int32_t producer);
+  // Cancels the DAG, as DagPool::cancel does.
+  void cancel();
+
+ private:
+  friend class DagPool;
+  RemotePort(DagPool& pool, DagId id) : pool_(&pool), id_(id) {}
+
+  DagPool* pool_;
+  DagId id_;
 };
 
 }  // namespace hqr

@@ -457,7 +457,7 @@ struct Server::Impl {
     try {
       dag = pool->submit(
           graph, job->b,
-          [f](std::int32_t idx, TileWorkspace& ws) {
+          [f](std::int32_t idx, int, TileWorkspace& ws) {
             execute_kernel(f->kernels()[static_cast<std::size_t>(idx)], *f, ws);
           },
           std::move(sopts));
@@ -537,7 +537,7 @@ struct Server::Impl {
     try {
       dag = pool->submit(
           graph, f->b(),
-          [f, c, ops](std::int32_t idx, TileWorkspace& ws) {
+          [f, c, ops](std::int32_t idx, int, TileWorkspace& ws) {
             execute_apply_kernel((*ops)[static_cast<std::size_t>(idx)], *f,
                                  Trans::No, *c, ws);
           },
@@ -657,7 +657,7 @@ struct Server::Impl {
     try {
       dag = pool->submit(
           fused->graph(), fused->b(),
-          [fused](std::int32_t idx, TileWorkspace& ws) {
+          [fused](std::int32_t idx, int, TileWorkspace& ws) {
             fused->execute(idx, ws);
           },
           std::move(sopts));

@@ -37,7 +37,7 @@ Job make_job(const Matrix& a, int b, const EliminationList& list) {
 }
 
 DagPool::ExecuteFn exec_fn(std::shared_ptr<QRFactors> f) {
-  return [f = std::move(f)](std::int32_t idx, TileWorkspace& ws) {
+  return [f = std::move(f)](std::int32_t idx, int, TileWorkspace& ws) {
     execute_kernel(f->kernels()[static_cast<std::size_t>(idx)], *f, ws);
   };
 }
@@ -62,7 +62,7 @@ class Blocker {
     DagSubmitOptions sopts;
     sopts.priority = 1;
     id_ = pool.submit(std::make_shared<const TaskGraph>(ks, workers, 1), 1,
-                      [gate = gate_](std::int32_t, TileWorkspace&) {
+                      [gate = gate_](std::int32_t, int, TileWorkspace&) {
                         gate.wait();
                       },
                       sopts);
@@ -105,8 +105,8 @@ TEST(DagPool, SingleDagBitIdenticalToSequential) {
 }
 
 TEST(DagPool, SingleDagBitIdenticalToExecutorPath) {
-  // The multi-DAG pool and the single-DAG executor must agree bitwise —
-  // the pinned guarantee that adding the pool changed no numerics.
+  // A private pool and the executor's shared one must agree bitwise: the
+  // pool's schedule changes no numerics.
   Rng rng(5);
   Matrix a0 = random_gaussian(36, 20, rng);
   auto list = per_panel_tree_list(TreeKind::Binary, 9, 5);
@@ -169,14 +169,14 @@ TEST(DagPool, HigherPriorityDagRunsFirst) {
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
   DagId blocker = pool.submit(one_task_graph(), 1,
-                              [released](std::int32_t, TileWorkspace&) {
+                              [released](std::int32_t, int, TileWorkspace&) {
                                 released.wait();
                               });
 
   std::mutex mu;
   std::vector<int> order;
   auto recorder = [&](int label) {
-    return [&, label](std::int32_t, TileWorkspace&) {
+    return [&, label](std::int32_t, int, TileWorkspace&) {
       std::lock_guard<std::mutex> lk(mu);
       order.push_back(label);
     };
@@ -205,7 +205,7 @@ TEST(DagPool, EqualPriorityDagsInterleaveFairly) {
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
   DagId blocker = pool.submit(one_task_graph(), 1,
-                              [released](std::int32_t, TileWorkspace&) {
+                              [released](std::int32_t, int, TileWorkspace&) {
                                 released.wait();
                               });
 
@@ -219,7 +219,7 @@ TEST(DagPool, EqualPriorityDagsInterleaveFairly) {
   std::mutex mu;
   std::vector<int> order;
   auto traced = [&](std::shared_ptr<QRFactors> f, int label) {
-    return [&, f, label](std::int32_t idx, TileWorkspace& ws) {
+    return [&, f, label](std::int32_t idx, int, TileWorkspace& ws) {
       execute_kernel(f->kernels()[static_cast<std::size_t>(idx)], *f, ws);
       std::lock_guard<std::mutex> lk(mu);
       order.push_back(label);
@@ -268,7 +268,7 @@ TEST(DagPool, ThrowingKernelPoisonsOnlyItsOwnDag) {
   opts.threads = 2;
   DagPool pool(opts);
   DagId bad = pool.submit(one_task_graph(), 1,
-                          [](std::int32_t, TileWorkspace&) {
+                          [](std::int32_t, int, TileWorkspace&) {
                             throw Error("kernel blew up");
                           });
   Rng rng(19);
@@ -276,7 +276,7 @@ TEST(DagPool, ThrowingKernelPoisonsOnlyItsOwnDag) {
   Job j = make_job(a, 8, flat_ts_list(3, 2));
   DagId good = pool.submit(j.graph, 8, exec_fn(j.f));
 
-  EXPECT_FALSE(pool.wait(bad));
+  EXPECT_THROW(pool.wait(bad), Error);  // the kernel's own exception
   EXPECT_TRUE(pool.wait(good));
   QRFactors seq = qr_factorize_sequential(a, 8, flat_ts_list(3, 2));
   EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*j.f).view()), 0.0);
@@ -299,10 +299,10 @@ TEST(DagPool, WaitAllCoversOnDoneCallbacks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     DagSubmitOptions second;
     second.on_done = [&](DagId, bool) { chained_done.store(true); };
-    pool.submit(one_task_graph(), 1, [](std::int32_t, TileWorkspace&) {},
+    pool.submit(one_task_graph(), 1, [](std::int32_t, int, TileWorkspace&) {},
                 std::move(second));
   };
-  pool.submit(one_task_graph(), 1, [](std::int32_t, TileWorkspace&) {},
+  pool.submit(one_task_graph(), 1, [](std::int32_t, int, TileWorkspace&) {},
               std::move(first));
   pool.wait_all();
   EXPECT_TRUE(chained_done.load());
@@ -337,7 +337,7 @@ TEST(DagPool, AdmissionLimitThrowsTypedOverload) {
 
   const auto open_dag = [&](const DagSubmitOptions& sopts) {
     return pool.submit(one_task_graph(), 1,
-                       [](std::int32_t, TileWorkspace&) {}, sopts);
+                       [](std::int32_t, int, TileWorkspace&) {}, sopts);
   };
   const DagId a = open_dag({});
   const DagId b = open_dag({});
@@ -367,6 +367,45 @@ TEST(DagPool, AdmissionLimitThrowsTypedOverload) {
   EXPECT_TRUE(pool.wait(d));
   pool.wait_all();
   EXPECT_EQ(pool.active_dags(), 0);
+}
+
+TEST(DagPool, RemoteCompletionIsNamespacedByDag) {
+  // Two DAGs over the same two-task chain, whose first task is remote: a
+  // completion reported through one DAG's port releases only that DAG's
+  // task 1, and one reported after its DAG finished is ignored.
+  DagPoolOptions opts;
+  opts.threads = 2;
+  DagPool pool(opts);
+  Rng rng(29);
+  const Matrix a = random_gaussian(16, 8, rng);
+  const Job j = make_job(a, 8, flat_ts_list(2, 1));
+  ASSERT_EQ(j.graph->size(), 2);
+  std::atomic<int> ran[2] = {0, 0};
+  const auto submit = [&](int label) {
+    DagSubmitOptions sopts;
+    sopts.remote = {true, false};
+    return pool.submit(j.graph, 8,
+                       [&ran, label](std::int32_t idx, int, TileWorkspace&) {
+                         EXPECT_EQ(idx, 1);
+                         ran[label].fetch_add(1);
+                       },
+                       std::move(sopts));
+  };
+  const DagId first = submit(0);
+  const DagId second = submit(1);
+  EXPECT_EQ(pool.ready_tasks(), 0);  // task 1 waits on the remote task 0
+
+  pool.port(first).remote_complete(0);
+  EXPECT_TRUE(pool.wait(first));
+  pool.port(first).remote_complete(0);  // after the DAG finished: ignored
+  EXPECT_EQ(ran[0].load(), 1);
+  EXPECT_EQ(ran[1].load(), 0);
+  EXPECT_EQ(pool.active_dags(), 1);
+
+  pool.port(second).remote_complete(0);
+  EXPECT_TRUE(pool.wait(second));
+  EXPECT_EQ(ran[1].load(), 1);
+  EXPECT_EQ(pool.stats().tasks_executed, 2);
 }
 
 }  // namespace

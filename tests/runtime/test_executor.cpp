@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "net/launcher.hpp"
 #include "trees/hqr_tree.hpp"
 #include "trees/single_level.hpp"
 
@@ -45,7 +46,6 @@ TEST_P(ExecutorConfigs, ParallelFactorizationIsExact) {
   long long total = 0;
   for (long long t : stats.tasks_per_thread) total += t;
   EXPECT_EQ(total, stats.total_tasks);
-  EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadsIbAndTree, ExecutorConfigs,
@@ -121,15 +121,6 @@ TEST(Executor, StatsTraceAndMetricsAgreeOnTaskCounts) {
   EXPECT_EQ(per_kernel, stats.total_tasks);
   EXPECT_EQ(static_cast<long long>(trace.size()), stats.total_tasks);
   EXPECT_EQ(metrics.counter("exec.tasks").value(), stats.total_tasks);
-  EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
-  // Queue pops split exactly into the three acquisition paths, and the
-  // metrics registry mirrors them.
-  EXPECT_EQ(stats.local_hits + stats.steals + stats.overflow_pops,
-            stats.queue_pops);
-  EXPECT_EQ(metrics.counter("exec.local_hits").value(), stats.local_hits);
-  EXPECT_EQ(metrics.counter("exec.steals").value(), stats.steals);
-  EXPECT_EQ(metrics.counter("exec.overflow_pops").value(),
-            stats.overflow_pops);
 
   // Observed run fills the timing breakdowns.
   ASSERT_EQ(stats.busy_seconds_per_thread.size(), 4u);
@@ -139,6 +130,20 @@ TEST(Executor, StatsTraceAndMetricsAgreeOnTaskCounts) {
   for (double s : stats.seconds_by_kernel) by_kernel += s;
   EXPECT_NEAR(busy, by_kernel, 1e-9);
   EXPECT_GT(busy, 0.0);
+  ASSERT_EQ(stats.idle_seconds_per_thread.size(), 4u);
+  ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 4u);
+  // Per worker, busy, idle and the termination barrier fit in the run.
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_LE(stats.busy_seconds_per_thread[t] +
+                  stats.idle_seconds_per_thread[t] +
+                  stats.terminal_wait_seconds_per_thread[t],
+              stats.seconds + 1e-9)
+        << "worker " << t;
+    EXPECT_EQ(
+        metrics.gauge("exec.worker." + std::to_string(t) + ".busy_seconds")
+            .value(),
+        stats.busy_seconds_per_thread[t]);
+  }
 
   // Trace events never overlap within a worker lane.
   auto events = trace.sorted_events();
@@ -202,8 +207,7 @@ TEST(Executor, ShutdownWaitNotBookedAsIdle) {
 TEST(Executor, BatchedReleaseWideFanoutStaysExact) {
   // A flat-tree panel factorization makes every trailing-column update
   // ready at once when it completes — the widest successor batches the
-  // release path sees. All but the kept task of each batch flow through
-  // the deques; every task is acquired exactly once, and the factorization
+  // release path sees. Every task runs exactly once, and the factorization
   // must stay at machine precision, here with inner-blocked kernels too.
   Rng rng(29);
   Matrix a0 = random_gaussian(72, 40, rng);
@@ -213,26 +217,9 @@ TEST(Executor, BatchedReleaseWideFanoutStaysExact) {
     QRFactors f = qr_factorize_parallel(a0, 8, flat_ts_list(9, 5), opts,
                                         &stats);
     expect_exact(a0, f);
-    EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
-  }
-}
-
-TEST(Executor, ChainRunsOnTheReuseSlot) {
-  // A one-column flat-TS factorization is a pure chain: GEQRT, then one
-  // TSQRT per tile below. Each completion makes exactly one task ready and
-  // the worker keeps it, so only the root is ever acquired from a queue —
-  // at any thread count.
-  Rng rng(37);
-  Matrix a0 = random_gaussian(24, 4, rng);
-  for (int threads : {1, 4}) {
-    ExecutorOptions opts{.threads = threads};
-    RunStats stats;
-    QRFactors f = qr_factorize_parallel(a0, 4, flat_ts_list(6, 1), opts,
-                                        &stats);
-    expect_exact(a0, f);
-    EXPECT_EQ(stats.total_tasks, 6) << threads << " threads";
-    EXPECT_EQ(stats.queue_pops, 1) << threads << " threads";
-    EXPECT_EQ(stats.reuse_hits, 5) << threads << " threads";
+    long long ran = 0;
+    for (long long t : stats.tasks_per_thread) ran += t;
+    EXPECT_EQ(ran, stats.total_tasks);
   }
 }
 
@@ -243,6 +230,36 @@ TEST(Executor, StressManySmallTilesManyThreads) {
   QRFactors f = qr_factorize_parallel(
       a0, 2, greedy_global_list(30, 15).list, opts);
   expect_exact(a0, f);
+}
+
+TEST(Executor, ForkedRanksBuildTheirOwnPools) {
+  // The parent's 2-worker pool exists before the fork; a rank that reused
+  // it would wait forever on workers the child does not have. The launch
+  // timeout turns such a hang into a failure.
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer kills a child that starts threads after "
+                  "a multithreaded fork";
+#endif
+  Rng rng(41);
+  const Matrix a0 = random_gaussian(48, 32, rng);
+  const EliminationList list = greedy_global_list(6, 4).list;
+  const Matrix r_seq = extract_r(qr_factorize_sequential(a0, 8, list));
+  const ExecutorOptions opts{.threads = 2};
+  EXPECT_EQ(max_abs_diff(extract_r(qr_factorize_parallel(a0, 8, list, opts))
+                             .view(),
+                         r_seq.view()),
+            0.0);
+  net::LaunchOptions launch;
+  launch.timeout_seconds = 60.0;
+  const net::LaunchReport report = net::run_ranks_report(
+      2,
+      [&](net::Comm&) {
+        const Matrix r = extract_r(qr_factorize_parallel(a0, 8, list, opts));
+        return max_abs_diff(r.view(), r_seq.view()) == 0.0 ? 0 : 1;
+      },
+      launch);
+  EXPECT_TRUE(report.ok());
+  for (const net::RankExit& e : report.ranks) EXPECT_TRUE(e.ok());
 }
 
 }  // namespace

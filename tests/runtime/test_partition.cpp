@@ -1,12 +1,14 @@
 // In-process tests of the partitioned executor (the distributed runtime's
-// per-rank engine, minus the sockets): two execute_partition calls share
+// per-rank slice, minus the sockets): two execute_partition calls share
 // one QRFactors in the same address space, each runs its owner-computes
-// slice, and each engine's on_complete feeds the peer's RemotePort — the
-// same release protocol the communication thread drives in src/distrun/,
-// with the wire replaced by shared memory.
+// slice as a DAG on the same shared pool, and each slice's on_complete
+// feeds the peer's RemotePort — the same release protocol the
+// communication thread drives in src/distrun/, with the wire replaced by
+// shared memory.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,7 +53,7 @@ bool same_matrix(const TiledMatrix& x, const TiledMatrix& y) {
   return true;
 }
 
-// All tasks mapped to the caller's rank: the partitioned engine degenerates
+// All tasks mapped to the caller's rank: the partitioned run degenerates
 // to execute_parallel and must produce the sequential result.
 TEST(Partition, WholeGraphLocalMatchesSequential) {
   Problem p = make_problem(128, 96, 32, Distribution::cyclic_1d(1));
@@ -73,10 +75,10 @@ TEST(Partition, WholeGraphLocalMatchesSequential) {
   EXPECT_TRUE(same_matrix(f.a(), ref.a()));
 }
 
-// Two engines over one shared QRFactors, cross-wired through RemotePort:
-// each on_complete releases the peer's successors, exactly like the
-// distributed runtime's receive path (shared memory stands in for the
-// payload transfer).
+// Two partitions over one shared QRFactors, cross-wired through
+// RemotePort: each on_complete releases the peer's successors, exactly
+// like the distributed runtime's receive path (shared memory stands in for
+// the payload transfer). Both run as DAGs on the one 2-worker pool.
 TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
   const Distribution dist = Distribution::block_cyclic_2d(2, 1);
   Problem p = make_problem(192, 128, 32, dist);
@@ -93,7 +95,7 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
     view.task_rank = &rank;
     view.my_rank = me;
     view.on_complete = [&, me, peer](std::int32_t t) {
-      // Notify the peer engine about producers it consumes, once per
+      // Notify the peer partition about producers it consumes, once per
       // producer (the plan's dests() dedup, same as the wire protocol).
       if (p.plan.dests(t).empty()) return;
       RemotePort* pp = nullptr;
@@ -129,7 +131,7 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
   EXPECT_TRUE(same_matrix(f.a(), ref.a()));
 }
 
-// cancel() unblocks an engine whose remote predecessors never arrive.
+// cancel() unblocks a partition whose remote predecessors never arrive.
 TEST(Partition, CancelUnblocksStarvedEngine) {
   const Distribution dist = Distribution::cyclic_1d(2);
   Problem p = make_problem(128, 64, 32, dist);
@@ -149,8 +151,58 @@ TEST(Partition, CancelUnblocksStarvedEngine) {
         });
       },
       [&] { killer.join(); });
-  // The engine returned (did not hang) without running its whole slice.
+  // The run returned (did not hang) without running its whole slice.
   EXPECT_LT(stats.total_tasks, p.graph.size());
+}
+
+// A rank that owns no task has nothing to wait for: the call returns at
+// once, still handing out the port and tearing down around it.
+TEST(Partition, EmptyPartitionReturnsAtOnce) {
+  Problem p = make_problem(128, 64, 32, Distribution::cyclic_1d(1));
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  PartitionView view;
+  view.task_rank = &p.plan.node();
+  view.my_rank = 1;  // every task is on rank 0
+  bool ported = false, torn_down = false;
+  const RunStats stats = execute_partition(
+      f, p.graph, ExecutorOptions{.threads = 2}, view,
+      [&](RemotePort&) { ported = true; }, [&] { torn_down = true; });
+  EXPECT_EQ(stats.total_tasks, 0);
+  for (long long t : stats.tasks_per_thread) EXPECT_EQ(t, 0);
+  EXPECT_TRUE(ported);
+  EXPECT_TRUE(torn_down);
+}
+
+// An exception thrown on a worker cancels the run and reaches the caller
+// after before_teardown; the shared pool it ran on keeps working, and the
+// next run on it reproduces the sequential bits.
+TEST(Partition, TaskExceptionReachesTheCallerAndThePoolSurvives) {
+  Problem p = make_problem(128, 96, 32, Distribution::cyclic_1d(1));
+  const EliminationList list = hqr_elimination_list(
+      4, 3, HqrConfig{4, 2, TreeKind::Greedy, TreeKind::Fibonacci, true});
+  const QRFactors ref = qr_factorize_sequential(p.a, p.b, list, 0);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+    PartitionView view;
+    view.task_rank = &p.plan.node();
+    view.my_rank = 0;
+    std::atomic<int> calls{0};
+    view.on_complete = [&](std::int32_t) {
+      if (calls.fetch_add(1) + 1 == 3) throw Error("third completion fails");
+    };
+    bool torn_down = false;
+    const ExecutorOptions opts{.threads = threads};
+    EXPECT_THROW(execute_partition(f, p.graph, opts, view,
+                                   [](RemotePort&) {},
+                                   [&] { torn_down = true; }),
+                 Error);
+    EXPECT_TRUE(torn_down);
+    EXPECT_LT(calls.load(), p.graph.size());
+
+    const QRFactors again = qr_factorize_parallel(p.a, p.b, list, opts);
+    EXPECT_TRUE(same_matrix(again.a(), ref.a()));
+  }
 }
 
 }  // namespace

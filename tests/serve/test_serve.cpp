@@ -64,7 +64,7 @@ TEST(Serve, EightConcurrentRequestsBitIdentical) {
       std::make_shared<const TaskGraph>(
           expand_to_kernels(elimination_for(TreeChoice::FlatTs, 1, 1), 1, 1),
           1, 1),
-      8, [&plug_started, released](std::int32_t, TileWorkspace&) {
+      8, [&plug_started, released](std::int32_t, int, TileWorkspace&) {
         plug_started.set_value();
         released.wait();
       });
@@ -224,7 +224,7 @@ TEST(Serve, FusedBatchIsOneIndependentTaskPerProblem) {
     DagPool pool(popts);
     const DagId id = pool.submit(
         pooled.graph(), pooled.b(),
-        [&pooled](std::int32_t idx, TileWorkspace& w) {
+        [&pooled](std::int32_t idx, int, TileWorkspace& w) {
           pooled.execute(idx, w);
         });
     ASSERT_TRUE(pool.wait(id));
@@ -254,7 +254,7 @@ TEST(Serve, BatchYieldsToARequestOfTheSamePriority) {
       std::make_shared<const TaskGraph>(
           expand_to_kernels(elimination_for(TreeChoice::FlatTs, 1, 1), 1, 1),
           1, 1),
-      8, [&plug_started, released](std::int32_t, TileWorkspace&) {
+      8, [&plug_started, released](std::int32_t, int, TileWorkspace&) {
         plug_started.set_value();
         released.wait();
       });

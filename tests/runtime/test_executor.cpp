@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/norms.hpp"
@@ -260,6 +262,62 @@ TEST(Executor, ForkedRanksBuildTheirOwnPools) {
       launch);
   EXPECT_TRUE(report.ok());
   for (const net::RankExit& e : report.ranks) EXPECT_TRUE(e.ok());
+}
+
+TEST(Executor, ConcurrentCallersKeepTheirBits) {
+  // Three client threads call in at once with the same thread count, so
+  // their runs are DAGs on one shared pool at the same time; each gets the
+  // sequential R of its own input.
+  constexpr int kClients = 3, kRounds = 2;
+  Rng rng(43);
+  const EliminationList list = greedy_global_list(8, 4).list;
+  std::vector<Matrix> inputs, r_seq;
+  for (int i = 0; i < kClients * kRounds; ++i) {
+    inputs.push_back(random_gaussian(32, 16, rng));
+    r_seq.push_back(extract_r(qr_factorize_sequential(inputs.back(), 4, list)));
+  }
+  std::vector<Matrix> r_par(inputs.size());
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      const ExecutorOptions opts{.threads = 2};
+      for (int r = 0; r < kRounds; ++r) {
+        const auto i = static_cast<std::size_t>(c * kRounds + r);
+        r_par[i] = extract_r(qr_factorize_parallel(inputs[i], 4, list, opts));
+      }
+    });
+  for (auto& t : clients) t.join();
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    EXPECT_EQ(max_abs_diff(r_par[i].view(), r_seq[i].view()), 0.0)
+        << "input " << i;
+}
+
+TEST(Executor, EachCallReportsItsOwnThreadCount) {
+  // Calls alternate between thread counts, and so between pools: every
+  // per-worker vector has one entry per worker of the call's own count,
+  // and the bits do not depend on it.
+  Rng rng(47);
+  const Matrix a0 = random_gaussian(40, 24, rng);
+  const EliminationList list = greedy_global_list(10, 6).list;
+  const Matrix r_seq = extract_r(qr_factorize_sequential(a0, 4, list));
+  for (int threads : {3, 1, 4, 2, 3}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    obs::MetricsRegistry metrics;
+    ExecutorOptions opts{.threads = threads};
+    opts.metrics = &metrics;
+    RunStats stats;
+    const QRFactors f = qr_factorize_parallel(a0, 4, list, opts, &stats);
+    EXPECT_EQ(max_abs_diff(extract_r(f).view(), r_seq.view()), 0.0);
+    const auto n = static_cast<std::size_t>(threads);
+    EXPECT_EQ(stats.threads, threads);
+    EXPECT_EQ(stats.tasks_per_thread.size(), n);
+    EXPECT_EQ(stats.busy_seconds_per_thread.size(), n);
+    EXPECT_EQ(stats.idle_seconds_per_thread.size(), n);
+    EXPECT_EQ(stats.terminal_wait_seconds_per_thread.size(), n);
+    long long ran = 0;
+    for (long long t : stats.tasks_per_thread) ran += t;
+    EXPECT_EQ(ran, stats.total_tasks);
+  }
 }
 
 }  // namespace

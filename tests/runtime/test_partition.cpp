@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +204,61 @@ TEST(Partition, TaskExceptionReachesTheCallerAndThePoolSurvives) {
     const QRFactors again = qr_factorize_parallel(p.a, p.b, list, opts);
     EXPECT_TRUE(same_matrix(again.a(), ref.a()));
   }
+}
+
+// port_ready throwing is the caller's setup failing after the slice was
+// submitted: the run is cancelled, before_teardown still runs, and the
+// exception reaches the caller instead of a wait on remote producers that
+// never report. The pool keeps working.
+TEST(Partition, PortReadyExceptionCancelsTheRun) {
+  const Distribution dist = Distribution::cyclic_1d(2);
+  Problem p = make_problem(128, 64, 32, dist);
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  PartitionView view;
+  view.task_rank = &p.plan.node();
+  view.my_rank = 1;  // rank 1 needs rank 0's tiles, which never come
+  const ExecutorOptions opts{.threads = 2};
+  bool torn_down = false;
+  EXPECT_THROW(execute_partition(
+                   f, p.graph, opts, view,
+                   [](RemotePort&) { throw Error("port setup failed"); },
+                   [&] { torn_down = true; }),
+               Error);
+  EXPECT_TRUE(torn_down);
+
+  QRFactors whole(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  const RunStats stats = execute_parallel(whole, p.graph, opts);
+  EXPECT_EQ(stats.total_tasks, p.graph.size());
+}
+
+// on_complete runs once per local task, before the task's successors are
+// released: along every edge the producer's callback came first.
+TEST(Partition, OnCompleteFiresOncePerTaskBeforeItsSuccessors) {
+  Problem p = make_problem(160, 128, 32, Distribution::cyclic_1d(1));
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  std::mutex mu;
+  std::vector<std::int32_t> order;
+  PartitionView view;
+  view.task_rank = &p.plan.node();
+  view.my_rank = 0;
+  view.on_complete = [&](std::int32_t t) {
+    std::lock_guard<std::mutex> lk(mu);
+    order.push_back(t);
+  };
+  execute_partition(f, p.graph, ExecutorOptions{.threads = 4}, view,
+                    [](RemotePort&) {});
+  ASSERT_EQ(static_cast<int>(order.size()), p.graph.size());
+  std::vector<int> pos(order.size(), -1);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    ASSERT_EQ(pos[static_cast<std::size_t>(order[k])], -1)
+        << "task " << order[k] << " completed twice";
+    pos[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
+  }
+  for (int i = 0; i < p.graph.size(); ++i)
+    for (std::int32_t s : p.graph.successors(i))
+      EXPECT_LT(pos[static_cast<std::size_t>(i)],
+                pos[static_cast<std::size_t>(s)])
+          << "edge " << i << " -> " << s;
 }
 
 }  // namespace

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -40,6 +44,21 @@ bool same_bits(ConstMatrixView x, ConstMatrixView y) {
   return true;
 }
 
+// Every factored tile and every T block of `par` equals `seq` bitwise.
+void expect_same_factors(const QRFactors& par, const QRFactors& seq) {
+  for (int i = 0; i < seq.mt(); ++i)
+    for (int j = 0; j < seq.nt(); ++j)
+      EXPECT_TRUE(same_bits(par.a().tile(i, j), seq.a().tile(i, j)))
+          << "tile (" << i << ", " << j << ")";
+  for (int k = 0; k < std::min(seq.mt(), seq.nt()); ++k)
+    for (int i = 0; i < seq.mt(); ++i) {
+      EXPECT_TRUE(same_bits(par.t_geqrt(i, k), seq.t_geqrt(i, k)))
+          << "t_geqrt (" << i << ", " << k << ")";
+      EXPECT_TRUE(same_bits(par.t_pencil(i, k), seq.t_pencil(i, k)))
+          << "t_pencil (" << i << ", " << k << ")";
+    }
+}
+
 // (threads, ib, wide): wide picks the tiny-tile, wide-fanout input, whose
 // many more ready tasks than workers keep every worker's pick contended.
 class SchedEquivalence
@@ -62,17 +81,7 @@ TEST_P(SchedEquivalence, ParallelMatchesSequentialBitwise) {
   for (long long t : stats.tasks_per_thread) ran += t;
   EXPECT_EQ(ran, stats.total_tasks);
 
-  for (int i = 0; i < seq.mt(); ++i)
-    for (int j = 0; j < seq.nt(); ++j)
-      EXPECT_TRUE(same_bits(par.a().tile(i, j), seq.a().tile(i, j)))
-          << "tile (" << i << ", " << j << ")";
-  for (int k = 0; k < std::min(seq.mt(), seq.nt()); ++k)
-    for (int i = 0; i < seq.mt(); ++i) {
-      EXPECT_TRUE(same_bits(par.t_geqrt(i, k), seq.t_geqrt(i, k)))
-          << "t_geqrt (" << i << ", " << k << ")";
-      EXPECT_TRUE(same_bits(par.t_pencil(i, k), seq.t_pencil(i, k)))
-          << "t_pencil (" << i << ", " << k << ")";
-    }
+  expect_same_factors(par, seq);
   if (wide) expect_exact(a0, par);
 }
 
@@ -97,6 +106,47 @@ TEST(SchedulerEquivalence, EightWorkerRepeatedRunsAreNumericallyIdentical) {
     EXPECT_EQ(max_abs_diff(r_first.view(), r.view()), 0.0) << "rep " << rep;
   }
 }
+
+// Seeded schedule perturbation: before its kernel, every task sleeps a
+// delay drawn from the seed (0-200 us), so tasks finish, and their
+// successors become ready, in orders the host's own timing rarely
+// produces. Whatever order results, the factors keep the sequential bits.
+class SeededTaskDelays : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SeededTaskDelays, PoolScheduleKeepsTheSequentialBits) {
+  const std::uint64_t seed = GetParam();
+  SCOPED_TRACE("perturbation seed " + std::to_string(seed));
+  Rng rng(91);
+  const Matrix a0 = random_gaussian(48, 28, rng);
+  HqrConfig cfg{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
+  const EliminationList list = hqr_elimination_list(12, 7, cfg);
+  constexpr int kIb = 2;
+  const QRFactors seq = qr_factorize_sequential(a0, 4, list, kIb);
+
+  TiledMatrix tiled = TiledMatrix::from_matrix(a0, 4);
+  KernelList kernels = expand_to_kernels(list, tiled.mt(), tiled.nt());
+  const auto graph =
+      std::make_shared<const TaskGraph>(kernels, tiled.mt(), tiled.nt());
+  QRFactors par(std::move(tiled), std::move(kernels), kIb);
+  Rng delays_rng(seed);
+  std::vector<int> delay_us(static_cast<std::size_t>(graph->size()));
+  for (int& d : delay_us) d = static_cast<int>(delays_rng.uniform() * 200.0);
+
+  DagPoolOptions opts;
+  opts.threads = 4;
+  DagPool pool(opts);
+  const DagId id = pool.submit(
+      graph, 4, [&](std::int32_t idx, int, TileWorkspace& ws) {
+        const auto i = static_cast<std::size_t>(idx);
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us[i]));
+        execute_kernel(par.kernels()[i], par, ws);
+      });
+  EXPECT_TRUE(pool.wait(id));
+  expect_same_factors(par, seq);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeededTaskDelays,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace hqr
